@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: build test race vet bench-smoke fuzz-smoke chaos-smoke corruption-smoke bench-middleware bus-stress sched-smoke search-smoke fleet-smoke journal-smoke docs-lint
+.PHONY: build test race vet bench-smoke bench-build fuzz-smoke chaos-smoke corruption-smoke bench-middleware bus-stress sched-smoke search-smoke fleet-smoke journal-smoke docs-lint
 
 build:
 	$(GO) build ./...
@@ -54,6 +54,12 @@ corruption-smoke:
 	done
 	$(GO) test -run='TestGuardCleanRunByteIdentical' ./internal/scenario/
 	$(GO) test -run='TestGuardAcceptPathZeroAlloc' ./internal/guard/
+
+# The host-plane benchmark is its own module (hostbench/go.mod), so the
+# root `go build ./...` never compiles it: vet and test it against this
+# checkout, so an API change that breaks the benchmark fails here.
+bench-build:
+	cd hostbench && GOPROXY=off GOTOOLCHAIN=local $(GO) vet . && GOPROXY=off GOTOOLCHAIN=local $(GO) test .
 
 # Quick allocation/latency smoke over the hot-path micro-benches.
 bench-smoke:

@@ -12,6 +12,12 @@
 //	if err != nil { ... }
 //	sys.Run(30 * time.Second)
 //	fmt.Println(sys.NodeLatency("ndt_matching"))
+//
+// The stack-level layers — supervision, watchdog, chain log, scheduler
+// — attach to an *autoware.Stack (AttachDefaultSupervision, NewWatchdog,
+// AttachChainLog, AttachScheduler). A hardened stack is assembled in
+// one place, scenario.Spec.Harden; Wrap exposes such a stack through
+// the System read surface.
 package avstack
 
 import (
@@ -22,7 +28,6 @@ import (
 	"repro/internal/autoware"
 	"repro/internal/core"
 	"repro/internal/eval"
-	"repro/internal/faults"
 	"repro/internal/geom"
 	"repro/internal/mathx"
 	"repro/internal/msgs"
@@ -74,6 +79,10 @@ type System struct {
 	stack *autoware.Stack
 }
 
+// Wrap exposes an assembled stack through the System surface — for a
+// stack built and hardened elsewhere (see scenario.Spec.Harden).
+func Wrap(stack *autoware.Stack) *System { return &System{stack: stack} }
+
 // NewSystem builds a full system with default options. Construction
 // synthesizes the drive's HD map and takes a few seconds of wall time.
 func NewSystem(det Detector) (*System, error) {
@@ -109,7 +118,7 @@ func NewSystemWithOptions(det Detector, opts Options) (*System, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &System{stack: stack}, nil
+	return Wrap(stack), nil
 }
 
 // Run advances the drive by the given virtual duration (cumulative).
@@ -160,23 +169,6 @@ func (s *System) Utilization() []power.UtilizationRow {
 
 // DegradedInterval is one recorded graceful-degradation window.
 type DegradedInterval = trace.DegradedInterval
-
-// AttachFaults wires a fault injector into the running system. Call
-// before Run; the injector's schedule then perturbs the drive
-// deterministically (see internal/faults). Message-losing verdicts
-// (drop, crash) are recorded in the trace so reports can distinguish
-// "dropped by an injected fault" from "never produced".
-func (s *System) AttachFaults(in *faults.Injector) {
-	in.SetLossRecorder(s.stack.Recorder)
-	in.Attach(s.stack.Executor, s.stack.Bus)
-}
-
-// AttachWatchdog installs the graceful-degradation layer and starts it.
-func (s *System) AttachWatchdog(cfg WatchdogConfig) *Watchdog {
-	w := NewWatchdog(s.stack, cfg)
-	w.Attach()
-	return w
-}
 
 // DegradedIntervals returns recorded degradation windows (empty without
 // an attached watchdog).

@@ -7,7 +7,8 @@ import (
 
 // Integrity-guard re-exports: the guard validates payloads and
 // sanitizes timestamps at the bus boundary, quarantining corrupted
-// frames before they reach any node (see internal/guard).
+// frames before they reach any node (see internal/guard). It is
+// attached at build time by autoware.Config.Guard.
 type (
 	// Guard is the attached input-integrity layer.
 	Guard = guard.Guard
@@ -19,17 +20,6 @@ type (
 	// IntegrityEvent is one aggregated quarantine record from the trace.
 	IntegrityEvent = trace.IntegrityEvent
 )
-
-// EnableGuard attaches an input-integrity guard with the given config
-// (zero value takes defaults) and returns it. Call before Run. On
-// clean input the guard changes nothing — reports stay byte-identical
-// to an unguarded run.
-func (s *System) EnableGuard(cfg GuardConfig) *Guard {
-	g := guard.New(cfg)
-	g.Attach(s.stack.Executor)
-	s.stack.Guard = g
-	return g
-}
 
 // IntegrityEvents returns the aggregated quarantine record (empty
 // without an attached guard or on clean input).

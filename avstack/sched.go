@@ -41,18 +41,6 @@ func AttachScheduler(stack *autoware.Stack, crit *sched.Criticality, k sched.Kno
 	return pol
 }
 
-// AttachChainLog installs lineage recording on the system (see the
-// stack-level helper for semantics).
-func (s *System) AttachChainLog() *trace.ChainLog {
-	return AttachChainLog(s.stack)
-}
-
-// AttachScheduler installs the deadline scheduler on the system (see
-// the stack-level helper for semantics).
-func (s *System) AttachScheduler(crit *Criticality, k SchedKnobs) {
-	AttachScheduler(s.stack, crit, k)
-}
-
 // AnalyzeCriticality derives a criticality profile from recorded chains.
 func AnalyzeCriticality(chains []Chain) *Criticality {
 	return sched.Analyze(chains)

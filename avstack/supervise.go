@@ -68,38 +68,11 @@ func AttachDefaultSupervision(stack *autoware.Stack, seed uint64) (*Supervisor, 
 	return sup, nil
 }
 
-// AttachSupervisor wires an explicitly configured supervision layer
-// into the system. Call after AttachFaults and before Run.
-func (s *System) AttachSupervisor(cfg SupervisorConfig) (*Supervisor, error) {
-	sup, err := supervise.New(cfg)
-	if err != nil {
-		return nil, err
-	}
-	sup.Attach(s.stack.Executor, s.stack.Bus, s.stack.Recorder)
-	return sup, nil
-}
-
-// Supervise wires the default supervision layer (see
-// DefaultSupervision) into the system. Call after AttachFaults and
-// before Run.
-func (s *System) Supervise(seed uint64) (*Supervisor, error) {
-	return AttachDefaultSupervision(s.stack, seed)
-}
-
-// EnableShedding turns on deadline-aware load shedding at the
-// executor: a queued frame whose oldest sensor origin is older than
-// the budget when dispatched is shed instead of processed, bounding
-// queue-delay amplification under overload. Shed counts appear in
-// Topics (TopicStats.Shed). Zero disables.
-func (s *System) EnableShedding(budget time.Duration) {
-	s.stack.Executor.ShedBudget = budget
-}
-
 // Outages returns recorded node outages (empty without an attached
 // supervisor).
 func (s *System) Outages() []Outage { return s.stack.Recorder.Outages() }
 
 // FaultLosses returns aggregate fault-induced message losses (empty
-// unless an injector with a loss recorder is attached; AttachFaults
-// wires one).
+// unless an injector with a loss recorder is attached, as
+// scenario.Spec.Harden does).
 func (s *System) FaultLosses() []FaultLoss { return s.stack.Recorder.FaultLosses() }

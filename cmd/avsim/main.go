@@ -15,6 +15,12 @@
 // hashing, k-d tree builds, ray-ground sector sorts). Virtual-time
 // results are identical for any worker count.
 //
+// The stack flags (-faults -detector -supervise -shed -guard -sched
+// -space) are the ones characterize takes: scenario.Flags resolves them
+// into one scenario.Spec, and scenario.Spec.Harden attaches its layers
+// to the stack in the same order the chaos runs use — fault injector,
+// supervision, shed budget, watchdog, scheduler.
+//
 // -faults attaches a named chaos scenario (see internal/scenario): the
 // seeded fault schedule perturbs the drive deterministically, the
 // graceful-degradation watchdog substitutes for stalled nodes, and the
@@ -22,9 +28,9 @@
 //
 // -supervise attaches the node-lifecycle supervision layer (restart
 // with backoff + checkpoint restore; internal/supervise) and -shed
-// arms deadline-aware load shedding with the given budget. Scenarios
-// that request either (crash-recover, overload-shed) enable them
-// automatically.
+// arms deadline-aware load shedding with the given budget, replacing
+// the scenario's. Scenarios that request either (crash-recover,
+// overload-shed) enable them automatically.
 //
 // -guard attaches the input-integrity layer (internal/guard): payload
 // validation and time sanitization at the bus boundary; corrupted
@@ -55,150 +61,96 @@ import (
 	"os"
 	"runtime"
 	"strconv"
-	"strings"
 	"time"
 
 	"repro/avstack"
-	"repro/internal/faults"
+	"repro/internal/autoware"
 	"repro/internal/parallel"
 	"repro/internal/scenario"
 	"repro/internal/world"
 )
 
 func main() {
-	detector := flag.String("detector", "YOLOv3-416", "vision detector: SSD512, SSD300 or YOLOv3-416")
+	var opts scenario.Flags
+	opts.Register(flag.CommandLine)
 	duration := flag.Duration("duration", 30*time.Second, "virtual drive duration")
 	planning := flag.Bool("planning", false, "run the planning and motion nodes too")
 	status := flag.Duration("status", 5*time.Second, "status print interval (virtual time)")
 	workers := flag.Int("workers", runtime.NumCPU(), "max host threads for intra-frame shard loops (results are identical for any value)")
-	faultsFlag := flag.String("faults", "", "inject a named chaos scenario: "+strings.Join(scenario.Names(), ", "))
-	supervise := flag.Bool("supervise", false, "attach the supervision layer (restart crashed/silent nodes with backoff + checkpoint restore)")
-	shed := flag.Duration("shed", 0, "deadline-aware load shedding budget (0 disables): queued frames older than this are shed at dispatch")
-	guardFlag := flag.Bool("guard", false, "attach the input-integrity guard (payload validation + time sanitization + quarantine)")
-	schedFlag := flag.Bool("sched", false, "attach the critical-path deadline scheduler (EDF dispatch + deadline shedding + admission cap)")
 	worldFlag := flag.String("world", "", "drive a generated world: a params line (see world.MarshalParams)")
 	genFlag := flag.String("gen", "", "generate the world from this seed instead of the scripted default")
-	spaceFlag := flag.String("space", "default", "sampling space for -gen: default or compact")
 	flag.Parse()
 	parallel.SetMaxWorkers(*workers)
 
-	var spec scenario.Spec
-	if *faultsFlag != "" {
-		var err error
-		spec, err = scenario.ByName(*faultsFlag)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "avsim:", err)
-			os.Exit(1)
-		}
-		if min := spec.MinDuration(); *duration < min {
-			fmt.Fprintf(os.Stderr, "avsim: scenario %s needs -duration >= %v\n", spec.Name, min)
-			os.Exit(1)
-		}
+	spec, err := opts.Spec(*duration)
+	if err != nil {
+		fatal(err)
 	}
 
 	// Resolve the drive parameterization: explicit params line, then a
 	// generator seed, then whatever a generated chaos scenario carries.
-	var wcfg *world.ScenarioConfig
 	switch {
 	case *worldFlag != "":
 		c, err := world.ParseParams(*worldFlag)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "avsim: -world:", err)
-			os.Exit(1)
+			fatal(fmt.Errorf("-world: %w", err))
 		}
-		wcfg = &c
+		spec.World = &c
 	case *genFlag != "":
 		seed, err := strconv.ParseUint(*genFlag, 0, 64)
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "avsim: -gen %q is not a seed\n", *genFlag)
-			os.Exit(1)
+			fatal(fmt.Errorf("-gen %q is not a seed", *genFlag))
 		}
-		var sp world.ParamSpace
-		switch *spaceFlag {
-		case "default":
-			sp = world.DefaultSpace()
-		case "compact":
-			sp = world.CompactSpace()
-		default:
-			fmt.Fprintf(os.Stderr, "avsim: unknown -space %q (have default, compact)\n", *spaceFlag)
-			os.Exit(1)
+		sp, err := world.SpaceByName(opts.Space)
+		if err != nil {
+			fatal(fmt.Errorf("-space: %w", err))
 		}
 		c, err := world.Generate(sp, seed)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "avsim: -gen:", err)
-			os.Exit(1)
+			fatal(fmt.Errorf("-gen: %w", err))
 		}
-		wcfg = &c
-	case spec.World != nil:
-		wcfg = spec.World
+		spec.World = &c
 	}
-	if wcfg != nil {
-		fmt.Printf("generated world: %s\n", world.MarshalParams(*wcfg))
+	if spec.World != nil {
+		fmt.Printf("generated world: %s\n", world.MarshalParams(*spec.World))
 	}
 
 	fmt.Println("assembling stack (map synthesis takes a few seconds)...")
-	sys, err := avstack.NewSystemWithOptions(avstack.Detector(*detector), avstack.Options{
-		WithPlanning: *planning,
-		Scenario:     wcfg,
-	})
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "avsim:", err)
-		os.Exit(1)
+	cfg := spec.Config(autoware.Detector(opts.Detector))
+	if *planning {
+		cfg.Mode = autoware.ModeFullWithPlanning
 	}
+	st, err := autoware.Build(cfg)
+	if err != nil {
+		fatal(err)
+	}
+	// Single-stack run: no profiling leg, so a scheduler runs without
+	// criticality and its priority tie-break degrades to registration
+	// order.
+	injector, err := spec.Harden(st, nil)
+	if err != nil {
+		fatal(err)
+	}
+	sys := avstack.Wrap(st)
 
-	guarded := *guardFlag || spec.Guard
-	if guarded {
-		sys.EnableGuard(avstack.GuardConfig{})
+	if spec.Guard {
 		fmt.Println("input-integrity guard attached")
 	}
-
-	var injector *faults.Injector
-	if *faultsFlag != "" {
-		injector, err = faults.New(spec.Schedule())
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "avsim:", err)
-			os.Exit(1)
-		}
-		sys.AttachFaults(injector)
-		if len(spec.Watch) > 0 {
-			sys.AttachWatchdog(avstack.WatchdogConfig{
-				Period:   spec.WatchPeriod,
-				Policies: spec.Watch,
-			})
-		}
+	if injector != nil {
 		fmt.Printf("chaos scenario %q armed:\n", spec.Name)
 		for _, f := range spec.Faults {
 			fmt.Printf("  %s\n", f)
 		}
 	}
-
-	// Spec-requested supervision/shedding unless overridden by flags.
-	if *supervise || spec.Supervise {
-		// After AttachFaults, so the supervisor observes crash verdicts.
-		if _, err := sys.Supervise(spec.Seed); err != nil {
-			fmt.Fprintln(os.Stderr, "avsim:", err)
-			os.Exit(1)
-		}
+	if spec.Supervise {
 		fmt.Println("supervision layer attached")
 	}
-	budget := *shed
-	if budget == 0 {
-		budget = spec.ShedBudget
+	if spec.ShedBudget > 0 {
+		fmt.Printf("deadline shedding armed: budget=%v\n", spec.ShedBudget)
 	}
-	if budget > 0 {
-		sys.EnableShedding(budget)
-		fmt.Printf("deadline shedding armed: budget=%v\n", budget)
-	}
-	if *schedFlag || spec.Sched != nil {
-		knobs := scenario.ContentionTunedKnobs()
-		if spec.Sched != nil {
-			knobs = *spec.Sched
-		}
-		// Single-stack run: no profiling leg, so criticality is nil and
-		// the priority tie-break degrades to registration order.
-		sys.AttachScheduler(nil, knobs)
+	if k := spec.Sched; k != nil {
 		fmt.Printf("deadline scheduler attached: priorities=%t shed=%v max_inflight=%d\n",
-			knobs.UsePriorities, knobs.ShedBudget, knobs.MaxInflight)
+			k.UsePriorities, k.ShedBudget, k.MaxInflight)
 	}
 
 	for elapsed := time.Duration(0); elapsed < *duration; {
@@ -285,7 +237,7 @@ func main() {
 		}
 	}
 
-	if *supervise || spec.Supervise {
+	if spec.Supervise {
 		fmt.Println("\n--- supervised outages ---")
 		outages := sys.Outages()
 		if len(outages) == 0 {
@@ -301,7 +253,7 @@ func main() {
 		}
 	}
 
-	if budget > 0 {
+	if spec.ShedBudget > 0 {
 		fmt.Println("\n--- deadline-shed frames ---")
 		any := false
 		for _, t := range sys.Topics() {
@@ -316,7 +268,7 @@ func main() {
 		}
 	}
 
-	if guarded {
+	if spec.Guard {
 		fmt.Println("\n--- integrity quarantine ---")
 		events := sys.IntegrityEvents()
 		if len(events) == 0 {
@@ -333,4 +285,9 @@ func main() {
 			fmt.Printf("%-34s quarantined=%-6d delivered=%-6d\n", t.Topic, t.Quarantined, t.Messages)
 		}
 	}
+}
+
+func fatal(err error) {
+	fmt.Fprintln(os.Stderr, "avsim:", err)
+	os.Exit(1)
 }

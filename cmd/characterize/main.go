@@ -22,6 +22,13 @@
 // -sched forces the pinned contention-tuned schedule onto a -faults
 // run (criticality profiled on the run's own baseline leg).
 //
+// The stack flags (-faults -detector -supervise -shed -guard -sched
+// -space) are the ones avsim takes: scenario.Flags resolves them into
+// one scenario.Spec. -supervise, -shed, -guard and -sched force their
+// layer onto the hardened leg of a -faults run and of every -exp tune
+// candidate; scenario.Spec.Harden attaches the layers, and the
+// environment is autoware.BuildEnv over the spec's own world.
+//
 // -exp search runs the adversarial latency search: -budget seeded
 // candidates — procedurally generated worlds (internal/world.Generate)
 // plus sampled fault schedules — are evaluated against the scripted
@@ -51,6 +58,7 @@
 package main
 
 import (
+	"context"
 	"encoding/json"
 	"flag"
 	"fmt"
@@ -62,6 +70,7 @@ import (
 
 	"repro/internal/autoware"
 	"repro/internal/core"
+	"repro/internal/hdmap"
 	"repro/internal/parallel"
 	"repro/internal/scenario"
 	"repro/internal/search"
@@ -74,18 +83,14 @@ func main() {
 	out := flag.String("out", "", "write the report to this file instead of stdout")
 	csvDir := flag.String("csv", "", "also export raw per-sample data as CSV files into this directory")
 	workers := flag.Int("workers", runtime.NumCPU(), "max concurrent experiment configurations (results are identical for any value)")
-	faultsFlag := flag.String("faults", "", "run a chaos scenario instead of the paper tables: "+strings.Join(scenario.Names(), ", "))
-	detector := flag.String("detector", "YOLOv3-416", "detector configuration for the chaos scenario (-faults) and the adversarial search (-exp search)")
-	supervise := flag.Bool("supervise", false, "force the supervision layer onto the chaos scenario's faulted run (-faults only)")
-	shed := flag.Duration("shed", 0, "force this deadline-shedding budget onto the chaos scenario's faulted run (-faults only)")
-	guard := flag.Bool("guard", false, "attach the input-integrity guard (no-op on the clean paper tables; forces the guard onto a -faults run)")
-	schedFlag := flag.Bool("sched", false, "force the pinned contention-tuned schedule onto the chaos scenario's faulted run (-faults only)")
+	var opts scenario.Flags
+	opts.Register(flag.CommandLine)
 	seed := flag.Uint64("seed", 1, "candidate-search seed for -exp tune and -exp search")
 	bench := flag.String("bench", "", "write the -exp tune/search results to this JSON file (default BENCH_sched.json / BENCH_search.json)")
 	budget := flag.Int("budget", 12, "evaluated candidates for -exp search, including the scripted baseline")
-	space := flag.String("space", "default", "sampling space for -exp search: default or compact")
 	flag.Parse()
 	parallel.SetMaxWorkers(*workers)
+	det := autoware.Detector(opts.Detector)
 
 	var w io.Writer = os.Stdout
 	if *out != "" {
@@ -98,20 +103,12 @@ func main() {
 	}
 
 	if *exp == "tune" {
-		name := *faultsFlag
-		if name == "" {
-			name = scenario.NameContention
+		if opts.Faults == "" {
+			opts.Faults = scenario.NameContention
 		}
-		spec, err := scenario.ByName(name)
-		if err != nil {
-			fatal(err)
-		}
-		if min := spec.MinDuration(); *duration < min {
-			fatal(fmt.Errorf("scenario %s needs -duration >= %v", spec.Name, min))
-		}
-		fmt.Fprintf(os.Stderr, "building environment (scenario + HD map)...\n")
 		start := time.Now()
-		rep, err := scenario.Tune(spec, autoware.Detector(*detector), *duration, *seed)
+		spec, scen, m := hardenedEnv(opts, *duration, det)
+		rep, err := scenario.TuneWithEnv(scen, m, spec, det, *duration, *seed)
 		if err != nil {
 			fatal(err)
 		}
@@ -128,25 +125,20 @@ func main() {
 	}
 
 	if *exp == "search" {
-		var sp world.ParamSpace
-		switch *space {
-		case "default":
-			sp = world.DefaultSpace()
-		case "compact":
-			sp = world.CompactSpace()
-		default:
-			fatal(fmt.Errorf("unknown -space %q (have default, compact)", *space))
+		sp, err := world.SpaceByName(opts.Space)
+		if err != nil {
+			fatal(err)
 		}
 		fmt.Fprintf(os.Stderr, "searching %d candidates (%s space, seed %d, %v per eval)...\n",
-			*budget, *space, *seed, *duration)
+			*budget, opts.Space, *seed, *duration)
 		start := time.Now()
 		rep, err := search.Run(search.Config{
 			Space:     sp,
-			SpaceName: *space,
+			SpaceName: opts.Space,
 			Seed:      *seed,
 			Budget:    *budget,
 			Duration:  *duration,
-			Detector:  autoware.Detector(*detector),
+			Detector:  det,
 		})
 		if err != nil {
 			fatal(err)
@@ -163,30 +155,10 @@ func main() {
 		return
 	}
 
-	if *faultsFlag != "" {
-		spec, err := scenario.ByName(*faultsFlag)
-		if err != nil {
-			fatal(err)
-		}
-		if *schedFlag {
-			k := scenario.ContentionTunedKnobs()
-			spec.Sched = &k
-		}
-		if *supervise {
-			spec.Supervise = true
-		}
-		if *shed > 0 {
-			spec.ShedBudget = *shed
-		}
-		if *guard {
-			spec.Guard = true
-		}
-		if min := spec.MinDuration(); *duration < min {
-			fatal(fmt.Errorf("scenario %s needs -duration >= %v", spec.Name, min))
-		}
-		fmt.Fprintf(os.Stderr, "building environment (scenario + HD map)...\n")
+	if opts.Faults != "" {
 		start := time.Now()
-		res, err := scenario.Run(spec, autoware.Detector(*detector), *duration)
+		spec, scen, m := hardenedEnv(opts, *duration, det)
+		res, err := scenario.RunWithEnvContext(context.Background(), scen, m, spec, det, *duration)
 		if err != nil {
 			fatal(err)
 		}
@@ -202,7 +174,7 @@ func main() {
 		fatal(err)
 	}
 	c.SetWorkers(*workers)
-	c.SetGuard(*guard)
+	c.SetGuard(opts.Guard)
 	fmt.Fprintf(os.Stderr, "environment ready in %.1fs; simulating %v per configuration (%d workers)\n",
 		time.Since(start).Seconds(), *duration, *workers)
 
@@ -238,6 +210,21 @@ func main() {
 		fmt.Fprintf(os.Stderr, "raw data exported to %s\n", *csvDir)
 	}
 	fmt.Fprintf(os.Stderr, "done in %.1fs\n", time.Since(start).Seconds())
+}
+
+// hardenedEnv resolves the stack flags into the run's spec and builds
+// the environment its world describes.
+func hardenedEnv(opts scenario.Flags, duration time.Duration, det autoware.Detector) (scenario.Spec, *world.Scenario, *hdmap.Map) {
+	spec, err := opts.Spec(duration)
+	if err != nil {
+		fatal(err)
+	}
+	fmt.Fprintf(os.Stderr, "building environment (scenario + HD map)...\n")
+	scen, m, err := autoware.BuildEnv(spec.Config(det))
+	if err != nil {
+		fatal(err)
+	}
+	return spec, scen, m
 }
 
 // writeTuneReport renders the search in the report house style: the

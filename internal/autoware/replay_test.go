@@ -10,7 +10,6 @@ import (
 	"repro/internal/nodes/visiondet"
 	"repro/internal/ros"
 	"repro/internal/sensor"
-	"repro/internal/testenv"
 	"repro/internal/world"
 )
 
@@ -18,7 +17,7 @@ import (
 // records, optionally blanking an outage window for a topic.
 func recordDrive(t *testing.T, duration time.Duration, outageTopic string, outageFrom, outageTo time.Duration) []ros.BagRecord {
 	t.Helper()
-	scen := testenv.Scenario()
+	scen, _ := testEnv(t)
 	lidar := sensor.NewLiDAR(sensor.DefaultLiDARConfig(), scen.City)
 	camera := sensor.NewCamera(sensor.DefaultCameraConfig(), scen.City)
 	gnss := sensor.NewGNSS(2.0, 0x6A55)
@@ -55,7 +54,8 @@ func replayStack(t *testing.T, recs []ros.BagRecord, horizon time.Duration) *Sta
 	t.Helper()
 	cfg := DefaultConfig(DetectorSSD300)
 	cfg.NoSensorPumps = true
-	s, err := BuildWithMap(cfg, testenv.Scenario(), testenv.Map())
+	scen, m := testEnv(t)
+	s, err := BuildWithMap(cfg, scen, m)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -78,7 +78,7 @@ func TestBagReplayDrivesFullPipeline(t *testing.T) {
 	if !ok {
 		t.Fatal("replay never localized")
 	}
-	truth := testenv.Scenario().At(s.Sim.Now().Seconds())
+	truth := s.Scenario.At(s.Sim.Now().Seconds())
 	if d := pose.XY().Dist(truth.Ego.Pose.XY()); d > 4 {
 		t.Errorf("replay localization error %.2f m", d)
 	}
@@ -112,7 +112,7 @@ func TestLiDAROutageRecovery(t *testing.T) {
 	if !ok {
 		t.Fatal("not localized")
 	}
-	truth := testenv.Scenario().At(s.Sim.Now().Seconds())
+	truth := s.Scenario.At(s.Sim.Now().Seconds())
 	if d := pose.XY().Dist(truth.Ego.Pose.XY()); d > 5 {
 		t.Errorf("post-outage localization error %.2f m", d)
 	}
@@ -127,7 +127,7 @@ func TestGNSSOutageDoesNotBreakTracking(t *testing.T) {
 	if !ok {
 		t.Fatal("never localized from the initial fixes")
 	}
-	truth := testenv.Scenario().At(s.Sim.Now().Seconds())
+	truth := s.Scenario.At(s.Sim.Now().Seconds())
 	if d := pose.XY().Dist(truth.Ego.Pose.XY()); d > 4 {
 		t.Errorf("GNSS-denied localization error %.2f m", d)
 	}

@@ -60,15 +60,28 @@ type Stack struct {
 	ran time.Duration
 }
 
-// Build assembles a stack. The HD map is built from the scenario, which
-// dominates construction time; BuildWithMap reuses a prebuilt one.
+// Build assembles a stack over a freshly built environment (see
+// BuildEnv); BuildWithMap reuses a prebuilt one.
 func Build(cfg Config) (*Stack, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	scen, err := world.BuildScenario(cfg.Scenario)
+	scen, m, err := BuildEnv(cfg)
 	if err != nil {
 		return nil, err
+	}
+	return BuildWithMap(cfg, scen, m)
+}
+
+// BuildEnv builds the environment a stack drives through: the world
+// cfg.Scenario describes and its HD map, loaded from cfg.MapFile or
+// else surveyed with cfg.Map. The map dominates construction time.
+// Both are read-only once built, so any number of stacks may share
+// them.
+func BuildEnv(cfg Config) (*world.Scenario, *hdmap.Map, error) {
+	scen, err := world.BuildScenario(cfg.Scenario)
+	if err != nil {
+		return nil, nil, err
 	}
 	var m *hdmap.Map
 	if cfg.MapFile != "" {
@@ -77,9 +90,9 @@ func Build(cfg Config) (*Stack, error) {
 		m, err = hdmap.Build(scen, cfg.Map)
 	}
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	return BuildWithMap(cfg, scen, m)
+	return scen, m, nil
 }
 
 // BuildWithMap assembles a stack over an existing scenario and map.

@@ -1,18 +1,39 @@
 package autoware
 
 import (
+	"sync"
 	"testing"
 	"time"
 
-	"repro/internal/testenv"
+	"repro/internal/hdmap"
+	"repro/internal/world"
 )
+
+var (
+	envOnce sync.Once
+	envScen *world.Scenario
+	envMap  *hdmap.Map
+	envErr  error
+)
+
+// testEnv returns the default drive's environment, built once per test
+// binary.
+func testEnv(t *testing.T) (*world.Scenario, *hdmap.Map) {
+	t.Helper()
+	envOnce.Do(func() { envScen, envMap, envErr = BuildEnv(DefaultConfig(DetectorSSD300)) })
+	if envErr != nil {
+		t.Fatal(envErr)
+	}
+	return envScen, envMap
+}
 
 // buildTestStack assembles a stack on the shared fixtures.
 func buildTestStack(t *testing.T, det Detector, mode Mode) *Stack {
 	t.Helper()
 	cfg := DefaultConfig(det)
 	cfg.Mode = mode
-	s, err := BuildWithMap(cfg, testenv.Scenario(), testenv.Map())
+	scen, m := testEnv(t)
+	s, err := BuildWithMap(cfg, scen, m)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -168,7 +189,8 @@ func TestConfigValidation(t *testing.T) {
 	if err := cfg.Validate(); err == nil {
 		t.Error("zero camera rate should fail validation")
 	}
-	if _, err := BuildWithMap(cfg, testenv.Scenario(), testenv.Map()); err == nil {
+	scen, m := testEnv(t)
+	if _, err := BuildWithMap(cfg, scen, m); err == nil {
 		t.Error("build with invalid config should fail")
 	}
 }

@@ -21,14 +21,11 @@ type Env struct {
 	Map      *hdmap.Map
 }
 
-// NewEnv builds the fixtures once.
+// NewEnv builds the fixtures once: the default drive's environment.
 func NewEnv() (*Env, error) {
-	scen := world.NewScenario(world.DefaultScenarioConfig())
-	mc := hdmap.DefaultConfig()
-	mc.ScanSpacing = 10
-	m, err := hdmap.Build(scen, mc)
+	scen, m, err := autoware.BuildEnv(autoware.DefaultConfig(autoware.DetectorSSD512))
 	if err != nil {
-		return nil, fmt.Errorf("experiments: building map: %w", err)
+		return nil, fmt.Errorf("experiments: building environment: %w", err)
 	}
 	return &Env{Scenario: scen, Map: m}, nil
 }

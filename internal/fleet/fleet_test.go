@@ -69,7 +69,7 @@ func TestFleetIsolationUnderChaos(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	solo, err := scenario.RunWithEnv(testenv.Scenario(), testenv.Map(), spec, autoware.DetectorSSD300, dur)
+	solo, err := scenario.RunWithEnvContext(context.Background(), testenv.Scenario(), testenv.Map(), spec, autoware.DetectorSSD300, dur)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -523,6 +523,23 @@ func TestFleetCloseFailsQueued(t *testing.T) {
 	}
 	if _, err := svc.Submit(Job{Tenant: "t", Scenario: "late"}); !errors.Is(err, ErrFleetClosed) {
 		t.Errorf("submit after Close: err %v, want ErrFleetClosed", err)
+	}
+}
+
+// TestFleetParamsJobRealRunner drives a params-line job through the
+// production runner: a fault-free hardened leg over the generated
+// world must complete, not fail fault-schedule validation.
+func TestFleetParamsJobRealRunner(t *testing.T) {
+	svc := mustNew(t, Config{Workers: 1, QueueDepth: 2, Duration: 4 * time.Second})
+	defer svc.Close()
+
+	rec, err := svc.Submit(Job{Tenant: "p", Params: world.MarshalParams(world.DefaultScenarioConfig())})
+	if err != nil {
+		t.Fatal(err)
+	}
+	final := waitDone(t, svc, rec.ID)
+	if final.State != StateDone {
+		t.Fatalf("params job state %s (%s), want done", final.State, final.Err)
 	}
 }
 

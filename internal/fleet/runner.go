@@ -57,24 +57,15 @@ type env struct {
 // may run over one entry safely.
 var envCache sync.Map // params line -> *env
 
-func sharedEnv(cfg world.ScenarioConfig) (*world.Scenario, *hdmap.Map, error) {
-	key := world.MarshalParams(cfg)
+func sharedEnv(cfg autoware.Config) (*world.Scenario, *hdmap.Map, error) {
+	key := world.MarshalParams(cfg.Scenario)
 	v, _ := envCache.LoadOrStore(key, &env{})
 	e := v.(*env)
 	e.once.Do(func() {
-		scen, err := world.BuildScenario(cfg)
-		if err != nil {
-			e.err = fmt.Errorf("fleet: building world: %w", err)
-			return
+		e.scen, e.m, e.err = autoware.BuildEnv(cfg)
+		if e.err != nil {
+			e.err = fmt.Errorf("fleet: building environment: %w", e.err)
 		}
-		mc := hdmap.DefaultConfig()
-		mc.ScanSpacing = 10
-		m, err := hdmap.Build(scen, mc)
-		if err != nil {
-			e.err = fmt.Errorf("fleet: building map: %w", err)
-			return
-		}
-		e.scen, e.m = scen, m
 	})
 	return e.scen, e.m, e.err
 }
@@ -89,11 +80,7 @@ type scenarioRunner struct{}
 func defaultRunner() Runner { return scenarioRunner{} }
 
 func (scenarioRunner) Run(ctx context.Context, spec scenario.Spec, det autoware.Detector, duration time.Duration) (*RunResult, error) {
-	cfg := world.DefaultScenarioConfig()
-	if spec.World != nil {
-		cfg = *spec.World
-	}
-	scen, m, err := sharedEnv(cfg)
+	scen, m, err := sharedEnv(spec.Config(det))
 	if err != nil {
 		return nil, err
 	}

@@ -8,14 +8,15 @@ import (
 	"repro/internal/msgs"
 	"repro/internal/pointcloud"
 	"repro/internal/ros"
-	"repro/internal/testenv"
+	"repro/internal/sensor"
+	"repro/internal/world"
 )
 
 func scanMsg(t *testing.T, at float64) (*ros.Message, *pointcloud.Cloud) {
 	t.Helper()
-	s := testenv.Scenario()
+	s := world.NewScenario(world.DefaultScenarioConfig())
 	snap := s.At(at)
-	cloud := testenv.LiDAR().Scan(&snap)
+	cloud := sensor.NewLiDAR(sensor.DefaultLiDARConfig(), s.City).Scan(&snap)
 	return &ros.Message{
 		Topic:   TopicPointsRaw,
 		Header:  ros.Header{Stamp: time.Duration(at * float64(time.Second))},

@@ -9,7 +9,8 @@ import (
 	"repro/internal/nodes/filters"
 	"repro/internal/pointcloud"
 	"repro/internal/ros"
-	"repro/internal/testenv"
+	"repro/internal/sensor"
+	"repro/internal/world"
 )
 
 // blob appends a Gaussian cluster of n points around center.
@@ -97,9 +98,9 @@ func TestExtractMergesWithinTolerance(t *testing.T) {
 }
 
 func TestProcessOnRealScan(t *testing.T) {
-	s := testenv.Scenario()
+	s := world.NewScenario(world.DefaultScenarioConfig())
 	snap := s.At(35)
-	raw := testenv.LiDAR().Scan(&snap)
+	raw := sensor.NewLiDAR(sensor.DefaultLiDARConfig(), s.City).Scan(&snap)
 	rg := filters.NewRayGround(filters.DefaultRayGroundConfig())
 	_, noGround := rg.Split(raw)
 

@@ -2,30 +2,51 @@ package localization
 
 import (
 	"math"
+	"sync"
 	"testing"
 	"time"
 
 	"repro/internal/geom"
+	"repro/internal/hdmap"
 	"repro/internal/msgs"
 	"repro/internal/nodes/filters"
 	"repro/internal/pointcloud"
 	"repro/internal/ros"
 	"repro/internal/sensor"
-	"repro/internal/testenv"
+	"repro/internal/world"
 )
+
+var (
+	mapOnce sync.Once
+	testMap *hdmap.Map
+	mapErr  error
+)
+
+// testScenario returns the default drive.
+func testScenario() *world.Scenario {
+	return world.NewScenario(world.DefaultScenarioConfig())
+}
 
 func filteredScanAt(t *testing.T, at float64) (*pointcloud.Cloud, geom.Pose) {
 	t.Helper()
-	s := testenv.Scenario()
+	s := testScenario()
 	snap := s.At(at)
-	raw := testenv.LiDAR().Scan(&snap)
+	raw := sensor.NewLiDAR(sensor.DefaultLiDARConfig(), s.City).Scan(&snap)
 	filtered, _ := pointcloud.VoxelDownsample(raw, 2.0)
 	return filtered, snap.Ego.Pose
 }
 
 func newTestNode(t *testing.T) *NDTMatching {
 	t.Helper()
-	return New(DefaultConfig(), testenv.Map())
+	mapOnce.Do(func() {
+		cfg := hdmap.DefaultConfig()
+		cfg.ScanSpacing = 10 // coarser for test speed
+		testMap, mapErr = hdmap.Build(testScenario(), cfg)
+	})
+	if mapErr != nil {
+		t.Fatal(mapErr)
+	}
+	return New(DefaultConfig(), testMap)
 }
 
 func TestNDTAlignRecoversPerturbation(t *testing.T) {
@@ -121,8 +142,8 @@ func TestNDTNodeLifecycle(t *testing.T) {
 
 func TestNDTTracksMotion(t *testing.T) {
 	n := newTestNode(t)
-	s := testenv.Scenario()
-	lidar := testenv.LiDAR()
+	s := testScenario()
+	lidar := sensor.NewLiDAR(sensor.DefaultLiDARConfig(), s.City)
 	imu := sensor.NewIMU(3)
 	gnss := sensor.NewGNSS(2, 4)
 

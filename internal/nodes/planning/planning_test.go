@@ -8,13 +8,12 @@ import (
 	"repro/internal/msgs"
 	"repro/internal/nodes/costmap"
 	"repro/internal/ros"
-	"repro/internal/testenv"
 	"repro/internal/world"
 )
 
 func lanes(t *testing.T) *world.LaneNetwork {
 	t.Helper()
-	return testenv.Scenario().Lanes
+	return world.NewScenario(world.DefaultScenarioConfig()).Lanes
 }
 
 func TestGlobalPlanFindsRoute(t *testing.T) {

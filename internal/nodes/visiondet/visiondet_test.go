@@ -7,13 +7,13 @@ import (
 	"repro/internal/geom"
 	"repro/internal/msgs"
 	"repro/internal/ros"
-	"repro/internal/testenv"
+	"repro/internal/sensor"
 	"repro/internal/world"
 )
 
 func frameWithActorAhead(t *testing.T, kind world.ActorKind, dist float64) *msgs.CameraImage {
 	t.Helper()
-	s := testenv.Scenario()
+	s := world.NewScenario(world.DefaultScenarioConfig())
 	snap := s.At(0)
 	ego := snap.Ego.Pose
 	p := ego.Transform(geom.V3(dist, 0, 0))
@@ -22,7 +22,7 @@ func frameWithActorAhead(t *testing.T, kind world.ActorKind, dist float64) *msgs
 		Pose: geom.NewPose(p.X, p.Y, 0, ego.Yaw),
 		Dim:  kind.Dimensions(),
 	}}
-	return &msgs.CameraImage{Frame: testenv.Camera().Capture(&snap)}
+	return &msgs.CameraImage{Frame: sensor.NewCamera(sensor.DefaultCameraConfig(), s.City).Capture(&snap)}
 }
 
 func TestDetectsCarFromPixels(t *testing.T) {

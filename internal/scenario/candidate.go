@@ -1,16 +1,4 @@
-// Package search is the adversarial latency-search harness: a seeded,
-// deterministic loop that mutates procedural scenario parameters
-// (internal/world) and fault-schedule knobs (internal/faults) to *find*
-// latency-budget violations, scoring every candidate by the worst
-// computation path's p99 over a full stack run and attributing it to
-// the most critical node via lineage-chain analysis (internal/sched).
-// It follows the same elimination discipline as the scheduler tuner:
-// candidate 0 is the scripted baseline, a feasibility floor on sample
-// count disqualifies candidates that win by starving traffic, and exact
-// ties go to the earlier candidate — so the same seed always elects the
-// same worst case. Discovered violations are serialized as candidate
-// files and regression-pinned as named scenarios in internal/scenario.
-package search
+package scenario
 
 import (
 	"errors"
@@ -22,15 +10,17 @@ import (
 	"repro/internal/world"
 )
 
-// Candidate is one point in the search space: a sampled world plus a
-// fault schedule to run against it.
+// Candidate is one point in the adversarial search space (see
+// internal/search): a sampled world plus a fault schedule to run
+// against it. Its text form is the pinned-scenario file format that
+// Generated loads.
 type Candidate struct {
 	// Name labels the candidate in reports and pinned scenario files.
 	Name string
 	// World is the procedural scenario parameterization.
 	World world.ScenarioConfig
 	// FaultSeed drives every stochastic fault decision (and seeds the
-	// supervision layer attached during evaluation).
+	// supervision layer attached during evaluation; it becomes Spec.Seed).
 	FaultSeed uint64
 	// Faults is the schedule injected during evaluation; empty means a
 	// clean drive.
@@ -43,7 +33,7 @@ func (c Candidate) Schedule() faults.Schedule {
 }
 
 // ErrCandidate marks candidate text the codec cannot decode.
-var ErrCandidate = errors.New("search: invalid candidate")
+var ErrCandidate = errors.New("scenario: invalid candidate")
 
 // MarshalCandidate serializes a candidate as a small line-oriented
 // document — the form discovered worst cases are pinned to testdata in:

@@ -1,19 +1,16 @@
 package scenario
 
 import (
+	"embed"
 	"fmt"
 	"sort"
-
-	"embed"
-
-	"repro/internal/search"
 )
 
 // Generated chaos scenarios are adversarial-search winners pinned as
 // regressions: when `characterize -exp search` elects a worst case
 // whose latency breaks the end-to-end budget, its candidate text
-// (world params line + fault schedule, see search.MarshalCandidate)
-// is committed under testdata/gen_*.scenario and becomes a named
+// (world params line + fault schedule, see MarshalCandidate) is
+// committed under testdata/gen_*.scenario and becomes a named
 // scenario like the builtins — runnable via -faults, hashed by the
 // transport golden net, and checked for worker invariance. The stack
 // they measure is the hardened one the search measured: guard and
@@ -41,7 +38,7 @@ func Generated() ([]Spec, error) {
 		if err != nil {
 			panic(fmt.Sprintf("scenario: reading %s: %v", e.Name(), err))
 		}
-		c, err := search.ParseCandidate(string(data))
+		c, err := ParseCandidate(string(data))
 		if err != nil {
 			return nil, fmt.Errorf("scenario: parsing %s: %w", e.Name(), err)
 		}

@@ -1,11 +1,11 @@
 package scenario
 
 import (
+	"reflect"
 	"testing"
 	"time"
 
 	"repro/internal/autoware"
-	"repro/internal/hdmap"
 	"repro/internal/parallel"
 	"repro/internal/world"
 )
@@ -53,6 +53,26 @@ func TestGeneratedRegistry(t *testing.T) {
 	}
 }
 
+// TestSpecConfigWorld pins that a spec's stack configuration drives
+// the spec's own world: every pinned generated spec carries its world
+// into Spec.Config, and a builtin gets the scripted default.
+func TestSpecConfigWorld(t *testing.T) {
+	generated, err := Generated()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, spec := range generated {
+		if got := spec.Config(autoware.DetectorSSD300).Scenario; !reflect.DeepEqual(got, *spec.World) {
+			t.Errorf("%s: Config world differs from the spec's world", spec.Name)
+		}
+	}
+	for _, spec := range builtins() {
+		if got := spec.Config(autoware.DetectorSSD300).Scenario; !reflect.DeepEqual(got, world.DefaultScenarioConfig()) {
+			t.Errorf("%s: Config world is not the scripted default", spec.Name)
+		}
+	}
+}
+
 // TestGeneratedScenarioWorkerInvariance extends the worker-invariance
 // contract to procedurally generated worlds: for three sampled seeds,
 // a full-stack drive through the generated scenario must produce a
@@ -66,13 +86,8 @@ func TestGeneratedScenarioWorkerInvariance(t *testing.T) {
 		if err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
-		scen, err := world.BuildScenario(cfg)
-		if err != nil {
-			t.Fatalf("seed %d: %v", seed, err)
-		}
-		mc := hdmap.DefaultConfig()
-		mc.ScanSpacing = 10
-		m, err := hdmap.Build(scen, mc)
+		acfg := Spec{World: &cfg, Guard: true}.Config(autoware.DetectorSSD300)
+		scen, m, err := autoware.BuildEnv(acfg)
 		if err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
@@ -81,7 +96,7 @@ func TestGeneratedScenarioWorkerInvariance(t *testing.T) {
 			prev := parallel.MaxWorkers()
 			parallel.SetMaxWorkers(workers)
 			defer parallel.SetMaxWorkers(prev)
-			st, err := buildStack(scen, m, autoware.DetectorSSD300, true, 0, cfg)
+			st, err := autoware.BuildWithMap(acfg, scen, m)
 			if err != nil {
 				t.Fatalf("seed %d: %v", seed, err)
 			}

@@ -1,12 +1,17 @@
 // Package scenario is the chaos-test harness: it runs the full stack
-// twice over the same environment — once fault-free, once under a
-// named, seeded fault schedule with the graceful-degradation watchdog
-// attached — and reports the resulting latency distributions side by
-// side. Because every layer underneath is deterministic, the same
-// scenario, seed and duration always produce a byte-identical report,
-// which is what turns the paper's accidental tail phenomena (contention
-// inflation, message drops, stale inputs) into regression-testable
-// behaviors.
+// twice over the same environment — once fault-free, once hardened —
+// and reports the resulting latency distributions side by side. A Spec
+// is the only description of the hardened leg: Spec.Config gives the
+// leg's stack configuration (world, guard, vision queue depth) and
+// Spec.Harden attaches the runtime layers in the one documented order
+// (fault injector, supervision, shed budget, watchdog, scheduler). The
+// chaos run (RunWithEnvContext), the scheduler tuner (TuneWithEnv), the
+// adversarial search, the fleet and avsim all assemble their legs
+// through those two calls. Because every layer underneath is
+// deterministic, the same scenario, seed and duration always produce a
+// byte-identical report, which is what turns the paper's accidental
+// tail phenomena (contention inflation, message drops, stale inputs)
+// into regression-testable behaviors.
 package scenario
 
 import (
@@ -58,18 +63,81 @@ type Spec struct {
 	// World, when non-nil, replaces the scripted default drive with a
 	// procedurally generated parameterization (see world.Generate and
 	// internal/search): traffic mix, pedestrian bursts, weather, city
-	// topology. Run builds the environment from it; RunWithEnv callers
-	// must pass an environment built from the same config.
+	// topology. Callers pass an environment built from the spec's config
+	// (autoware.BuildEnv(spec.Config(det))).
 	World *world.ScenarioConfig
 }
 
-// worldConfig resolves the drive parameterization: the spec's generated
-// world if set, else the scripted default.
-func (s Spec) worldConfig() world.ScenarioConfig {
+// Config is the stack configuration of the spec's hardened leg: the
+// detector's defaults with the spec's world, its guard, and the
+// scheduler's vision queue depth. The fault-free baseline leg drives
+// Spec{World: s.World}.Config(det) over the same environment.
+func (s Spec) Config(det autoware.Detector) autoware.Config {
+	cfg := autoware.DefaultConfig(det)
 	if s.World != nil {
-		return *s.World
+		cfg.Scenario = *s.World
 	}
-	return world.DefaultScenarioConfig()
+	cfg.Guard = s.Guard
+	if s.Sched != nil && s.Sched.QueueDepth > 0 {
+		cfg.VisionQueueDepth = s.Sched.QueueDepth
+	}
+	return cfg
+}
+
+// Harden attaches the spec's runtime layers to a stack built from
+// s.Config, in the documented order:
+//
+//  1. the fault injector, with the recorder as its loss sink (none
+//     when the spec has no faults);
+//  2. supervision, seeded from Seed — after the injector, so its
+//     callback filter runs in front and observes crash verdicts;
+//  3. the deadline-shed budget;
+//  4. the watchdog's policies;
+//  5. the scheduler with crit — last, so it only ever picks among
+//     candidates every layer above let through. crit may be nil
+//     (registration-order tie-break).
+//
+// It returns the injector, nil for a fault-free spec.
+func (s Spec) Harden(st *autoware.Stack, crit *sched.Criticality) (*faults.Injector, error) {
+	var inj *faults.Injector
+	if len(s.Faults) > 0 {
+		var err error
+		if inj, err = faults.New(s.Schedule()); err != nil {
+			return nil, err
+		}
+		inj.SetLossRecorder(st.Recorder)
+		inj.Attach(st.Executor, st.Bus)
+	}
+	if s.Supervise {
+		if _, err := avstack.AttachDefaultSupervision(st, s.Seed); err != nil {
+			return nil, err
+		}
+	}
+	if s.ShedBudget > 0 {
+		st.Executor.ShedBudget = s.ShedBudget
+	}
+	if len(s.Watch) > 0 {
+		avstack.NewWatchdog(st, avstack.WatchdogConfig{Period: s.WatchPeriod, Policies: s.Watch}).Attach()
+	}
+	if s.Sched != nil {
+		avstack.AttachScheduler(st, crit, *s.Sched)
+	}
+	return inj, nil
+}
+
+// validate rejects a spec whose fault schedule is malformed or whose
+// fault windows do not fit the drive. A fault-free spec (a fleet
+// params-line job) has nothing to validate but its horizon.
+func (s Spec) validate(duration time.Duration) error {
+	if len(s.Faults) > 0 {
+		if err := s.Schedule().Validate(); err != nil {
+			return err
+		}
+	}
+	if min := s.MinDuration(); duration < min {
+		return fmt.Errorf("scenario: duration %v shorter than scenario horizon %v", duration, min)
+	}
+	return nil
 }
 
 // Schedule bundles the spec's faults with its seed.
@@ -374,44 +442,18 @@ func (r *Result) NodeStat(node string) (NodeStat, bool) {
 	return NodeStat{}, false
 }
 
-// Run executes the scenario over a freshly built environment. Building
-// the scenario's HD map dominates wall time; tests with a cached
-// environment should use RunWithEnv.
-func Run(spec Spec, det autoware.Detector, duration time.Duration) (*Result, error) {
-	scen, err := world.BuildScenario(spec.worldConfig())
-	if err != nil {
-		return nil, fmt.Errorf("scenario: building world: %w", err)
-	}
-	mc := hdmap.DefaultConfig()
-	mc.ScanSpacing = 10
-	m, err := hdmap.Build(scen, mc)
-	if err != nil {
-		return nil, fmt.Errorf("scenario: building map: %w", err)
-	}
-	return RunWithEnv(scen, m, spec, det, duration)
-}
-
-// RunWithEnv executes the scenario over an existing environment: one
-// fault-free baseline run, one run with the injector (and any watch
-// policies) attached. Identical inputs produce identical Results.
-func RunWithEnv(scen *world.Scenario, m *hdmap.Map, spec Spec, det autoware.Detector, duration time.Duration) (*Result, error) {
-	return RunWithEnvContext(context.Background(), scen, m, spec, det, duration)
-}
-
-// RunWithEnvContext is RunWithEnv with cooperative cancellation: both
-// drive legs advance under the context, so a fleet job deadline stops
-// in-flight simulation promptly (the error wraps autoware.ErrCancelled)
-// instead of leaking the vehicle until drive end. Run to completion it
-// is byte-identical to RunWithEnv.
+// RunWithEnvContext executes the scenario over an environment built
+// from spec.Config(det): one fault-free baseline leg, then the hardened
+// leg assembled by Spec.Harden. Both legs advance under the context, so
+// a fleet job deadline stops in-flight simulation promptly (the error
+// wraps autoware.ErrCancelled) instead of leaking the vehicle until
+// drive end. Identical inputs produce identical Results.
 func RunWithEnvContext(ctx context.Context, scen *world.Scenario, m *hdmap.Map, spec Spec, det autoware.Detector, duration time.Duration) (*Result, error) {
-	if err := spec.Schedule().Validate(); err != nil {
+	if err := spec.validate(duration); err != nil {
 		return nil, err
 	}
-	if min := spec.MinDuration(); duration < min {
-		return nil, fmt.Errorf("scenario: duration %v shorter than scenario horizon %v", duration, min)
-	}
 
-	baseline, err := buildStack(scen, m, det, false, 0, spec.worldConfig())
+	baseline, err := autoware.BuildWithMap(Spec{World: spec.World}.Config(det), scen, m)
 	if err != nil {
 		return nil, err
 	}
@@ -425,41 +467,17 @@ func RunWithEnvContext(ctx context.Context, scen *world.Scenario, m *hdmap.Map, 
 		return nil, fmt.Errorf("scenario: baseline leg: %w", err)
 	}
 
-	depth := 0
-	if spec.Sched != nil {
-		depth = spec.Sched.QueueDepth
-	}
-	faulted, err := buildStack(scen, m, det, spec.Guard, depth, spec.worldConfig())
+	faulted, err := autoware.BuildWithMap(spec.Config(det), scen, m)
 	if err != nil {
 		return nil, err
 	}
-	inj, err := faults.New(spec.Schedule())
+	var crit *sched.Criticality
+	if chains != nil {
+		crit = sched.Analyze(chains.Chains())
+	}
+	inj, err := spec.Harden(faulted, crit)
 	if err != nil {
 		return nil, err
-	}
-	inj.SetLossRecorder(faulted.Recorder)
-	inj.Attach(faulted.Executor, faulted.Bus)
-	if spec.Supervise {
-		// After the injector, so the supervisor's filter runs in front
-		// of it and observes its crash verdicts.
-		if _, err := avstack.AttachDefaultSupervision(faulted, spec.Seed); err != nil {
-			return nil, err
-		}
-	}
-	if spec.ShedBudget > 0 {
-		faulted.Executor.ShedBudget = spec.ShedBudget
-	}
-	if len(spec.Watch) > 0 {
-		wd := avstack.NewWatchdog(faulted, avstack.WatchdogConfig{
-			Period:   spec.WatchPeriod,
-			Policies: spec.Watch,
-		})
-		wd.Attach()
-	}
-	if spec.Sched != nil {
-		// Last, matching the hook ordering: the scheduler only ever
-		// picks among candidates every layer above let through.
-		avstack.AttachScheduler(faulted, sched.Analyze(chains.Chains()), *spec.Sched)
 	}
 	if err := faulted.RunContext(ctx, duration); err != nil {
 		return nil, fmt.Errorf("scenario: faulted leg: %w", err)
@@ -468,35 +486,21 @@ func RunWithEnvContext(ctx context.Context, scen *world.Scenario, m *hdmap.Map, 
 	return collect(spec, det, duration, baseline, faulted, inj), nil
 }
 
-// buildStack assembles one stack over the shared environment. depth > 0
-// overrides the vision detector's input queue depth (the scheduler's
-// QueueDepth knob; 0 keeps the stock configuration). wcfg is the drive
-// parameterization the environment was built from — it must match scen,
-// and it carries the weather profile BuildWithMap degrades the sensor
-// suite with.
-func buildStack(scen *world.Scenario, m *hdmap.Map, det autoware.Detector, guarded bool, depth int, wcfg world.ScenarioConfig) (*autoware.Stack, error) {
-	cfg := autoware.DefaultConfig(det)
-	cfg.Scenario = wcfg
-	cfg.Guard = guarded
-	if depth > 0 {
-		cfg.VisionQueueDepth = depth
-	}
-	return autoware.BuildWithMap(cfg, scen, m)
-}
-
 // collect assembles the Result from two completed runs.
 func collect(spec Spec, det autoware.Detector, duration time.Duration, baseline, faulted *autoware.Stack, inj *faults.Injector) *Result {
 	r := &Result{
 		Spec:      spec,
 		Detector:  det,
 		Duration:  duration,
-		Events:    inj.Events(),
 		Degraded:  faulted.Recorder.DegradedIntervals(),
 		Drops:     faulted.Bus.DropReports(),
 		Outages:   faulted.Recorder.Outages(),
 		Losses:    faulted.Recorder.FaultLosses(),
 		Topics:    faulted.Bus.TopicStats(),
 		Integrity: faulted.Recorder.IntegrityEvents(),
+	}
+	if inj != nil {
+		r.Events = inj.Events()
 	}
 
 	nodeSet := map[string]bool{}

@@ -2,6 +2,7 @@ package scenario
 
 import (
 	"bytes"
+	"context"
 	"reflect"
 	"strings"
 	"testing"
@@ -21,7 +22,7 @@ func runScenario(t *testing.T, name string, duration time.Duration) *Result {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := RunWithEnv(testenv.Scenario(), testenv.Map(), spec, autoware.DetectorSSD300, duration)
+	res, err := RunWithEnvContext(context.Background(), testenv.Scenario(), testenv.Map(), spec, autoware.DetectorSSD300, duration)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -329,7 +330,7 @@ func TestRunRejectsShortDuration(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := RunWithEnv(testenv.Scenario(), testenv.Map(), spec, autoware.DetectorSSD300, time.Second); err == nil {
+	if _, err := RunWithEnvContext(context.Background(), testenv.Scenario(), testenv.Map(), spec, autoware.DetectorSSD300, time.Second); err == nil {
 		t.Error("duration shorter than the fault horizon should error")
 	}
 }

@@ -1,10 +1,12 @@
 package scenario
 
 import (
+	"context"
 	"testing"
 	"time"
 
 	"repro/internal/autoware"
+	"repro/internal/sched"
 	"repro/internal/testenv"
 )
 
@@ -28,7 +30,7 @@ func TestContentionTunedImprovesP99(t *testing.T) {
 	}
 
 	run := func(spec Spec) *Result {
-		res, err := RunWithEnv(testenv.Scenario(), testenv.Map(), spec, autoware.DetectorSSD300, schedTestDuration)
+		res, err := RunWithEnvContext(context.Background(), testenv.Scenario(), testenv.Map(), spec, autoware.DetectorSSD300, schedTestDuration)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -72,5 +74,36 @@ func TestContentionTunedImprovesP99(t *testing.T) {
 		if ps.Path != tp.Path || ps.Baseline != tp.Baseline {
 			t.Errorf("baseline leg diverged on path %s with the chain log attached", ps.Path)
 		}
+	}
+}
+
+// TestTuneDisabledMatchesFaultedLeg pins that the tuner scores the leg
+// the chaos run drives: on camera-stall (a spec with watch policies),
+// the no-scheduler candidate's worst path and sample count must equal
+// RunWithEnvContext's faulted leg bit for bit.
+func TestTuneDisabledMatchesFaultedLeg(t *testing.T) {
+	spec, err := ByName(NameCameraStall)
+	if err != nil {
+		t.Fatal(err)
+	}
+	duration := spec.MinDuration()
+	res, err := RunWithEnvContext(context.Background(), testenv.Scenario(), testenv.Map(), spec, autoware.DetectorSSD300, duration)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var want sched.Eval
+	for _, ps := range res.Paths {
+		want.Samples += ps.Faulted.Count
+		if ps.Faulted.Count > 0 && (want.Path == "" || ps.Faulted.P99 > want.P99) {
+			want.Path, want.P50, want.P99 = ps.Path, ps.Faulted.Median, ps.Faulted.P99
+		}
+	}
+
+	got, err := evalCandidate(testenv.Scenario(), testenv.Map(), spec, autoware.DetectorSSD300, duration, nil, sched.Candidate{Disabled: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got != want {
+		t.Errorf("Disabled candidate scored %+v, faulted leg measured %+v", got, want)
 	}
 }

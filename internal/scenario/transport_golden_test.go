@@ -10,7 +10,6 @@ import (
 
 	"repro/avstack"
 	"repro/internal/autoware"
-	"repro/internal/faults"
 	"repro/internal/hdmap"
 	"repro/internal/testenv"
 	"repro/internal/world"
@@ -33,13 +32,13 @@ const transportGoldenDuration = 10 * time.Second
 
 const transportGoldenFile = "testdata/transport_goldens.txt"
 
-// runTransportScenario executes one spec's faulted leg with guard and
-// supervision forced on, mirroring RunWithEnv's attach order exactly
-// (injector, then supervisor, then shedding, then watchdog, then
-// scheduler). scen and m are the environment the spec's world resolves
-// to (the shared testenv for builtins; a spec-owned build for generated
-// scenarios). chains is the lineage log observed on the matching
-// baseline run; only sched-enabled specs consult it.
+// runTransportScenario executes one spec's hardened leg with guard and
+// supervision forced on, assembled by Spec.Harden — the same call
+// RunWithEnvContext makes, so the golden hashes pin the one attach
+// order every caller uses. scen and m are the environment the spec's
+// world resolves to (the shared testenv for builtins; a spec-owned
+// build for generated scenarios). chains is the lineage log observed on
+// the matching baseline run; only sched-enabled specs consult it.
 func runTransportScenario(t *testing.T, spec Spec, scen *world.Scenario, m *hdmap.Map, baseline *autoware.Stack, chains *avstack.ChainLog) (*Result, *autoware.Stack) {
 	t.Helper()
 	spec.Guard = true
@@ -47,35 +46,17 @@ func runTransportScenario(t *testing.T, spec Spec, scen *world.Scenario, m *hdma
 	if min := spec.MinDuration(); transportGoldenDuration < min {
 		t.Fatalf("%s: golden duration %v below scenario horizon %v", spec.Name, transportGoldenDuration, min)
 	}
-	depth := 0
-	if spec.Sched != nil {
-		depth = spec.Sched.QueueDepth
-	}
-	faulted, err := buildStack(scen, m, autoware.DetectorSSD300, true, depth, spec.worldConfig())
+	faulted, err := autoware.BuildWithMap(spec.Config(autoware.DetectorSSD300), scen, m)
 	if err != nil {
 		t.Fatal(err)
 	}
-	inj, err := faults.New(spec.Schedule())
+	var crit *avstack.Criticality
+	if spec.Sched != nil {
+		crit = avstack.AnalyzeCriticality(chains.Chains())
+	}
+	inj, err := spec.Harden(faulted, crit)
 	if err != nil {
 		t.Fatal(err)
-	}
-	inj.SetLossRecorder(faulted.Recorder)
-	inj.Attach(faulted.Executor, faulted.Bus)
-	if _, err := avstack.AttachDefaultSupervision(faulted, spec.Seed); err != nil {
-		t.Fatal(err)
-	}
-	if spec.ShedBudget > 0 {
-		faulted.Executor.ShedBudget = spec.ShedBudget
-	}
-	if len(spec.Watch) > 0 {
-		wd := avstack.NewWatchdog(faulted, avstack.WatchdogConfig{
-			Period:   spec.WatchPeriod,
-			Policies: spec.Watch,
-		})
-		wd.Attach()
-	}
-	if spec.Sched != nil {
-		avstack.AttachScheduler(faulted, avstack.AnalyzeCriticality(chains.Chains()), *spec.Sched)
 	}
 	faulted.Run(transportGoldenDuration)
 	return collect(spec, autoware.DetectorSSD300, transportGoldenDuration, baseline, faulted, inj), faulted
@@ -101,7 +82,7 @@ func checkPoolBalance(t *testing.T, name string, stack *autoware.Stack) {
 }
 
 func TestTransportGoldenReports(t *testing.T) {
-	baseline, err := buildStack(testenv.Scenario(), testenv.Map(), autoware.DetectorSSD300, false, 0, world.DefaultScenarioConfig())
+	baseline, err := autoware.BuildWithMap(Spec{}.Config(autoware.DetectorSSD300), testenv.Scenario(), testenv.Map())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -130,17 +111,11 @@ func TestTransportGoldenReports(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, spec := range generated {
-		scen, err := world.BuildScenario(*spec.World)
+		scen, m, err := autoware.BuildEnv(spec.Config(autoware.DetectorSSD300))
 		if err != nil {
-			t.Fatalf("%s: building world: %v", spec.Name, err)
+			t.Fatalf("%s: building environment: %v", spec.Name, err)
 		}
-		mc := hdmap.DefaultConfig()
-		mc.ScanSpacing = 10
-		m, err := hdmap.Build(scen, mc)
-		if err != nil {
-			t.Fatalf("%s: building map: %v", spec.Name, err)
-		}
-		genBaseline, err := buildStack(scen, m, autoware.DetectorSSD300, false, 0, spec.worldConfig())
+		genBaseline, err := autoware.BuildWithMap(Spec{World: spec.World}.Config(autoware.DetectorSSD300), scen, m)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -8,7 +8,6 @@ import (
 	"repro/internal/autoware"
 	"repro/internal/parallel"
 	"repro/internal/testenv"
-	"repro/internal/world"
 )
 
 // TestTransportWorkerInvariance pins the determinism contract of the
@@ -33,7 +32,7 @@ func TestTransportWorkerInvariance(t *testing.T) {
 		prev := parallel.MaxWorkers()
 		parallel.SetMaxWorkers(workers)
 		defer parallel.SetMaxWorkers(prev)
-		baseline, err := buildStack(testenv.Scenario(), testenv.Map(), autoware.DetectorSSD300, false, 0, world.DefaultScenarioConfig())
+		baseline, err := autoware.BuildWithMap(Spec{}.Config(autoware.DetectorSSD300), testenv.Scenario(), testenv.Map())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -73,7 +72,7 @@ func TestSchedWorkerInvariance(t *testing.T) {
 		prev := parallel.MaxWorkers()
 		parallel.SetMaxWorkers(workers)
 		defer parallel.SetMaxWorkers(prev)
-		baseline, err := buildStack(testenv.Scenario(), testenv.Map(), autoware.DetectorSSD300, false, 0, world.DefaultScenarioConfig())
+		baseline, err := autoware.BuildWithMap(Spec{}.Config(autoware.DetectorSSD300), testenv.Scenario(), testenv.Map())
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -1,12 +1,10 @@
 package scenario
 
 import (
-	"fmt"
 	"time"
 
 	"repro/avstack"
 	"repro/internal/autoware"
-	"repro/internal/faults"
 	"repro/internal/hdmap"
 	"repro/internal/platform"
 	"repro/internal/sched"
@@ -57,36 +55,20 @@ type TuneReport struct {
 	Candidates        []TuneCandidate `json:"candidates"`
 }
 
-// Tune runs the deterministic auto-tuner on a scenario's faulted leg:
-// profile criticality on a clean drive, then evaluate the seeded
-// candidate schedules and report the one minimizing worst-path p99.
-// Building the HD map dominates wall time; see TuneWithEnv for reuse.
-func Tune(spec Spec, det autoware.Detector, duration time.Duration, searchSeed uint64) (*TuneReport, error) {
-	scen := world.NewScenario(world.DefaultScenarioConfig())
-	mc := hdmap.DefaultConfig()
-	mc.ScanSpacing = 10
-	m, err := hdmap.Build(scen, mc)
-	if err != nil {
-		return nil, fmt.Errorf("scenario: building map: %w", err)
-	}
-	return TuneWithEnv(scen, m, spec, det, duration, searchSeed)
-}
-
-// TuneWithEnv is Tune over an existing environment. It runs one clean
-// profiling drive (lineage chains → criticality), then one faulted
-// drive per candidate: injector attached, scheduler attached with the
-// candidate's knobs (none for the Disabled baseline), identical
-// duration. Everything underneath is deterministic, so the same inputs
-// always elect the same winner.
+// TuneWithEnv runs the deterministic auto-tuner on a scenario's
+// hardened leg over an environment built from spec.Config(det). It runs
+// one clean profiling drive (lineage chains → criticality), then one
+// hardened drive per seeded candidate schedule — the leg
+// RunWithEnvContext drives, with the candidate's knobs in place of
+// Spec.Sched (none for the Disabled baseline) — and reports the one
+// minimizing worst-path p99. Everything underneath is deterministic, so
+// the same inputs always elect the same winner.
 func TuneWithEnv(scen *world.Scenario, m *hdmap.Map, spec Spec, det autoware.Detector, duration time.Duration, searchSeed uint64) (*TuneReport, error) {
-	if err := spec.Schedule().Validate(); err != nil {
+	if err := spec.validate(duration); err != nil {
 		return nil, err
 	}
-	if min := spec.MinDuration(); duration < min {
-		return nil, fmt.Errorf("scenario: duration %v shorter than scenario horizon %v", duration, min)
-	}
 
-	profile, err := buildStack(scen, m, det, false, 0, spec.worldConfig())
+	profile, err := autoware.BuildWithMap(Spec{World: spec.World}.Config(det), scen, m)
 	if err != nil {
 		return nil, err
 	}
@@ -124,34 +106,21 @@ func TuneWithEnv(scen *world.Scenario, m *hdmap.Map, spec Spec, det autoware.Det
 	return rep, nil
 }
 
-// evalCandidate runs the spec's faulted leg under one candidate
+// evalCandidate runs the spec's hardened leg under one candidate
 // schedule and measures the worst path. Sched specs are tuned from
 // scratch: the candidate's knobs replace (not compose with) whatever
 // Spec.Sched pins.
 func evalCandidate(scen *world.Scenario, m *hdmap.Map, spec Spec, det autoware.Detector, duration time.Duration, crit *sched.Criticality, c sched.Candidate) (sched.Eval, error) {
-	depth := 0
+	spec.Sched = nil
 	if !c.Disabled {
-		depth = c.Knobs.QueueDepth
+		spec.Sched = &c.Knobs
 	}
-	st, err := buildStack(scen, m, det, spec.Guard, depth, spec.worldConfig())
+	st, err := autoware.BuildWithMap(spec.Config(det), scen, m)
 	if err != nil {
 		return sched.Eval{}, err
 	}
-	inj, err := faults.New(spec.Schedule())
-	if err != nil {
+	if _, err := spec.Harden(st, crit); err != nil {
 		return sched.Eval{}, err
-	}
-	inj.Attach(st.Executor, st.Bus)
-	if spec.Supervise {
-		if _, err := avstack.AttachDefaultSupervision(st, spec.Seed); err != nil {
-			return sched.Eval{}, err
-		}
-	}
-	if spec.ShedBudget > 0 {
-		st.Executor.ShedBudget = spec.ShedBudget
-	}
-	if !c.Disabled {
-		avstack.AttachScheduler(st, crit, c.Knobs)
 	}
 	st.Run(duration)
 

@@ -7,6 +7,7 @@ import (
 	"repro/internal/autoware"
 	"repro/internal/faults"
 	"repro/internal/mathx"
+	"repro/internal/scenario"
 	"repro/internal/world"
 )
 
@@ -17,12 +18,12 @@ const faultWindowStart = 4 * time.Second
 
 // sample draws a fresh candidate: a generated world plus a sampled
 // fault schedule.
-func sample(space world.ParamSpace, r *mathx.RNG, duration time.Duration, idx int) (Candidate, error) {
+func sample(space world.ParamSpace, r *mathx.RNG, duration time.Duration, idx int) (scenario.Candidate, error) {
 	w, err := world.Generate(space, r.Uint64())
 	if err != nil {
-		return Candidate{}, err
+		return scenario.Candidate{}, err
 	}
-	c := Candidate{
+	c := scenario.Candidate{
 		Name:      fmt.Sprintf("gen%02d-explore", idx),
 		World:     w,
 		FaultSeed: r.Uint64(),
@@ -36,8 +37,8 @@ func sample(space world.ParamSpace, r *mathx.RNG, duration time.Duration, idx in
 // every untouched concern's placement identical — the property that
 // makes the p99 delta attributable to the turned knob), and re-roll or
 // intensify the fault schedule.
-func mutate(best Candidate, space world.ParamSpace, r *mathx.RNG, duration time.Duration, idx int) (Candidate, error) {
-	c := Candidate{
+func mutate(best scenario.Candidate, space world.ParamSpace, r *mathx.RNG, duration time.Duration, idx int) (scenario.Candidate, error) {
+	c := scenario.Candidate{
 		Name:      fmt.Sprintf("gen%02d-exploit", idx),
 		World:     best.World,
 		FaultSeed: best.FaultSeed,
@@ -48,7 +49,7 @@ func mutate(best Candidate, space world.ParamSpace, r *mathx.RNG, duration time.
 	}
 	fixupWorld(&c.World)
 	if err := c.World.Validate(); err != nil {
-		return Candidate{}, err
+		return scenario.Candidate{}, err
 	}
 	switch {
 	case r.Bool(0.4):

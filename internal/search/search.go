@@ -1,3 +1,15 @@
+// Package search is the adversarial latency-search harness: a seeded,
+// deterministic loop that mutates procedural scenario parameters
+// (internal/world) and fault-schedule knobs (internal/faults) to *find*
+// latency-budget violations, scoring every candidate by the worst
+// computation path's p99 over a full stack run and attributing it to
+// the most critical node via lineage-chain analysis (internal/sched).
+// It follows the same elimination discipline as the scheduler tuner:
+// candidate 0 is the scripted baseline, a feasibility floor on sample
+// count disqualifies candidates that win by starving traffic, and exact
+// ties go to the earlier candidate — so the same seed always elects the
+// same worst case. Discovered violations are serialized as candidate
+// files and regression-pinned as named scenarios in internal/scenario.
 package search
 
 import (
@@ -11,6 +23,7 @@ import (
 	"repro/internal/faults"
 	"repro/internal/hdmap"
 	"repro/internal/mathx"
+	"repro/internal/scenario"
 	"repro/internal/sched"
 	"repro/internal/world"
 )
@@ -103,25 +116,25 @@ type Report struct {
 
 // WorstCandidate returns the elected worst case as a Candidate (for
 // pinning). ok is false when the report is empty.
-func (r *Report) WorstCandidate() (Candidate, bool) {
+func (r *Report) WorstCandidate() (scenario.Candidate, bool) {
 	for _, o := range r.Candidates {
 		if o.Name == r.Worst.Name {
 			return outcomeToCandidate(o)
 		}
 	}
-	return Candidate{}, false
+	return scenario.Candidate{}, false
 }
 
-func outcomeToCandidate(o Outcome) (Candidate, bool) {
+func outcomeToCandidate(o Outcome) (scenario.Candidate, bool) {
 	w, err := world.ParseParams(o.Params)
 	if err != nil {
-		return Candidate{}, false
+		return scenario.Candidate{}, false
 	}
-	c := Candidate{Name: o.Name, World: w, FaultSeed: o.FaultSeed}
+	c := scenario.Candidate{Name: o.Name, World: w, FaultSeed: o.FaultSeed}
 	for _, line := range o.Faults {
 		f, err := faults.ParseFault(line)
 		if err != nil {
-			return Candidate{}, false
+			return scenario.Candidate{}, false
 		}
 		c.Faults = append(c.Faults, f)
 	}
@@ -176,7 +189,7 @@ func RunContext(ctx context.Context, cfg Config) (*Report, error) {
 	// Candidate 0: the scripted baseline — the paper's default drive,
 	// no faults. Always feasible by construction; its sample count sets
 	// the feasibility floor, its p99 the inflation reference.
-	baseline := Candidate{Name: "baseline-scripted", World: world.DefaultScenarioConfig(), FaultSeed: 0x0BA5E}
+	baseline := scenario.Candidate{Name: "baseline-scripted", World: world.DefaultScenarioConfig(), FaultSeed: 0x0BA5E}
 	base, err := h.eval(baseline)
 	if err != nil {
 		return nil, fmt.Errorf("search: baseline eval: %w", err)
@@ -194,7 +207,7 @@ func RunContext(ctx context.Context, cfg Config) (*Report, error) {
 			return nil, fmt.Errorf("search: candidate %d: %w: %w", i, autoware.ErrCancelled, err)
 		}
 		stream := root.Split()
-		var c Candidate
+		var c scenario.Candidate
 		// Alternate explore (fresh sample) and exploit (mutate the
 		// elected worst so far); exploit has nothing to chew on until a
 		// generated candidate beats the baseline.
@@ -238,7 +251,7 @@ func RunContext(ctx context.Context, cfg Config) (*Report, error) {
 	return rep, nil
 }
 
-func outcome(c Candidate, ev Eval, err error, feasible bool, budgetMS float64) Outcome {
+func outcome(c scenario.Candidate, ev Eval, err error, feasible bool, budgetMS float64) Outcome {
 	o := Outcome{
 		Name:      c.Name,
 		Params:    world.MarshalParams(c.World),
@@ -277,55 +290,38 @@ func mapKey(cfg world.ScenarioConfig) string {
 		c.Blocks, c.BlockSize, c.StreetWidth, c.BuildingDensity, c.Seed, c.FurnitureSeed, cfg.EgoSpeed)
 }
 
-func (h *harness) mapFor(cfg world.ScenarioConfig, scen *world.Scenario) (*hdmap.Map, error) {
-	key := mapKey(cfg)
+// envFor builds the candidate's world and reuses the cached map of its
+// city, building both with autoware.BuildEnv on a miss.
+func (h *harness) envFor(cfg autoware.Config) (*world.Scenario, *hdmap.Map, error) {
+	key := mapKey(cfg.Scenario)
 	if m, ok := h.maps[key]; ok {
-		return m, nil
+		scen, err := world.BuildScenario(cfg.Scenario)
+		return scen, m, err
 	}
-	mc := hdmap.DefaultConfig()
-	mc.ScanSpacing = 10
-	m, err := hdmap.Build(scen, mc)
-	if err != nil {
-		return nil, err
+	scen, m, err := autoware.BuildEnv(cfg)
+	if err == nil {
+		h.maps[key] = m
 	}
-	h.maps[key] = m
-	return m, nil
+	return scen, m, err
 }
 
-// eval runs one candidate: generated world, guard attached (the search
-// measures the hardened stack, matching the pinned-scenario harness),
-// the candidate's fault schedule injected, default supervision seeded
-// from the fault seed, full drive, then worst-path extraction and
+// eval runs one candidate as the hardened leg of a pinned generated
+// scenario — Spec{World, Faults, Seed: FaultSeed, Guard, Supervise} —
+// over its generated world: full drive, then worst-path extraction and
 // lineage criticality attribution.
-func (h *harness) eval(c Candidate) (Eval, error) {
-	scen, err := world.BuildScenario(c.World)
+func (h *harness) eval(c scenario.Candidate) (Eval, error) {
+	spec := scenario.Spec{World: &c.World, Faults: c.Faults, Seed: c.FaultSeed, Guard: true, Supervise: true}
+	cfg := spec.Config(h.det)
+	scen, m, err := h.envFor(cfg)
 	if err != nil {
 		return Eval{}, err
 	}
-	m, err := h.mapFor(c.World, scen)
-	if err != nil {
-		return Eval{}, err
-	}
-	acfg := autoware.DefaultConfig(h.det)
-	acfg.Scenario = c.World
-	acfg.Guard = true
-	st, err := autoware.BuildWithMap(acfg, scen, m)
+	st, err := autoware.BuildWithMap(cfg, scen, m)
 	if err != nil {
 		return Eval{}, err
 	}
 	chains := avstack.AttachChainLog(st)
-	if len(c.Faults) > 0 {
-		if err := c.Schedule().Validate(); err != nil {
-			return Eval{}, err
-		}
-		inj, err := faults.New(c.Schedule())
-		if err != nil {
-			return Eval{}, err
-		}
-		inj.SetLossRecorder(st.Recorder)
-		inj.Attach(st.Executor, st.Bus)
-	}
-	if _, err := avstack.AttachDefaultSupervision(st, c.FaultSeed); err != nil {
+	if _, err := spec.Harden(st, nil); err != nil {
 		return Eval{}, err
 	}
 	if err := st.RunContext(h.ctx, h.duration); err != nil {

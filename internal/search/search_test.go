@@ -9,16 +9,17 @@ import (
 	"repro/internal/autoware"
 	"repro/internal/faults"
 	"repro/internal/mathx"
+	"repro/internal/scenario"
 	"repro/internal/world"
 )
 
-func testCandidate(t *testing.T) Candidate {
+func testCandidate(t *testing.T) scenario.Candidate {
 	t.Helper()
 	w, err := world.Generate(world.CompactSpace(), 7)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return Candidate{
+	return scenario.Candidate{
 		Name:      "gen-test-case",
 		World:     w,
 		FaultSeed: 0xFEED,
@@ -32,13 +33,13 @@ func testCandidate(t *testing.T) Candidate {
 }
 
 func TestCandidateCodecRoundTrip(t *testing.T) {
-	cases := []Candidate{
+	cases := []scenario.Candidate{
 		testCandidate(t),
 		{Name: "clean-world", World: world.DefaultScenarioConfig()},
 	}
 	for _, c := range cases {
-		text := MarshalCandidate(c)
-		back, err := ParseCandidate(text)
+		text := scenario.MarshalCandidate(c)
+		back, err := scenario.ParseCandidate(text)
 		if err != nil {
 			t.Fatalf("%s: parse:\n%s\n%v", c.Name, text, err)
 		}
@@ -51,19 +52,19 @@ func TestCandidateCodecRoundTrip(t *testing.T) {
 				t.Fatalf("%s: fault %d mismatch: %+v vs %+v", c.Name, i, back.Faults[i], c.Faults[i])
 			}
 		}
-		if again := MarshalCandidate(back); again != text {
+		if again := scenario.MarshalCandidate(back); again != text {
 			t.Fatalf("%s: marshal not canonical:\n%s\n%s", c.Name, text, again)
 		}
 	}
 	// Comments and blank lines are tolerated.
-	withComments := "# pinned by search\n\n" + MarshalCandidate(cases[0])
-	if _, err := ParseCandidate(withComments); err != nil {
+	withComments := "# pinned by search\n\n" + scenario.MarshalCandidate(cases[0])
+	if _, err := scenario.ParseCandidate(withComments); err != nil {
 		t.Fatalf("commented candidate rejected: %v", err)
 	}
 }
 
 func TestParseCandidateRejects(t *testing.T) {
-	valid := MarshalCandidate(testCandidate(t))
+	valid := scenario.MarshalCandidate(testCandidate(t))
 	cases := map[string]string{
 		"empty":               "",
 		"missing world":       "name gen-x\n",
@@ -79,12 +80,12 @@ func TestParseCandidateRejects(t *testing.T) {
 	}
 	for name, text := range cases {
 		t.Run(name, func(t *testing.T) {
-			if _, err := ParseCandidate(text); err == nil {
+			if _, err := scenario.ParseCandidate(text); err == nil {
 				t.Fatalf("ParseCandidate accepted:\n%s", text)
 			}
 		})
 	}
-	if _, err := ParseCandidate("name gen-a\nname gen-b\n"); !errors.Is(err, ErrCandidate) {
+	if _, err := scenario.ParseCandidate("name gen-a\nname gen-b\n"); !errors.Is(err, scenario.ErrCandidate) {
 		t.Fatalf("err = %v, want ErrCandidate", err)
 	}
 }
@@ -101,7 +102,7 @@ func TestCandidateSequenceDeterministic(t *testing.T) {
 		var out []string
 		for i := 1; i <= 8; i++ {
 			stream := root.Split()
-			var c Candidate
+			var c scenario.Candidate
 			var err error
 			if i%2 == 1 {
 				c, err = sample(space, stream, 10*time.Second, i)
@@ -111,7 +112,7 @@ func TestCandidateSequenceDeterministic(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			out = append(out, MarshalCandidate(c))
+			out = append(out, scenario.MarshalCandidate(c))
 		}
 		return out
 	}
@@ -133,7 +134,7 @@ func TestSampledCandidatesAreRunnable(t *testing.T) {
 		best := testCandidate(t)
 		for i := 1; i <= 60; i++ {
 			stream := root.Split()
-			var c Candidate
+			var c scenario.Candidate
 			var err error
 			if i%2 == 1 {
 				c, err = sample(space, stream, 8*time.Second, i)
@@ -144,11 +145,11 @@ func TestSampledCandidatesAreRunnable(t *testing.T) {
 				t.Fatalf("candidate %d: %v", i, err)
 			}
 			if _, err := world.BuildScenario(c.World); err != nil {
-				t.Fatalf("candidate %d world does not build: %v\n%s", i, err, MarshalCandidate(c))
+				t.Fatalf("candidate %d world does not build: %v\n%s", i, err, scenario.MarshalCandidate(c))
 			}
 			if len(c.Faults) > 0 {
 				if err := c.Schedule().Validate(); err != nil {
-					t.Fatalf("candidate %d schedule invalid: %v\n%s", i, err, MarshalCandidate(c))
+					t.Fatalf("candidate %d schedule invalid: %v\n%s", i, err, scenario.MarshalCandidate(c))
 				}
 				for _, f := range c.Faults {
 					if f.End()+time.Second > 8*time.Second {

@@ -1,13 +1,15 @@
-// Package testenv caches the expensive shared fixtures (scenario, HD
-// map, sensors) used across the repository's test packages, so each is
-// built once per test binary.
+// Package testenv caches the default drive's environment — the world
+// and HD map autoware.BuildEnv builds for autoware.DefaultConfig — so
+// each stack-level test package builds it once per test binary. The
+// packages autoware itself is built from cannot import it; their tests
+// build their own fixtures.
 package testenv
 
 import (
 	"sync"
 
+	"repro/internal/autoware"
 	"repro/internal/hdmap"
-	"repro/internal/sensor"
 	"repro/internal/world"
 )
 
@@ -23,8 +25,7 @@ func Scenario() *world.Scenario {
 	return scen
 }
 
-// Map returns the shared HD map (built with coarse scan spacing for
-// test speed; coverage is still complete).
+// Map returns the shared HD map.
 func Map() *hdmap.Map {
 	build()
 	return hmap
@@ -32,25 +33,10 @@ func Map() *hdmap.Map {
 
 func build() {
 	once.Do(func() {
-		scen = world.NewScenario(world.DefaultScenarioConfig())
-		cfg := hdmap.DefaultConfig()
-		cfg.ScanSpacing = 10
-		m, err := hdmap.Build(scen, cfg)
+		var err error
+		scen, hmap, err = autoware.BuildEnv(autoware.DefaultConfig(autoware.DetectorSSD300))
 		if err != nil {
 			panic(err)
 		}
-		hmap = m
 	})
-}
-
-// LiDAR returns a fresh default scanner bound to the shared city.
-func LiDAR() *sensor.LiDAR {
-	build()
-	return sensor.NewLiDAR(sensor.DefaultLiDARConfig(), scen.City)
-}
-
-// Camera returns a fresh default camera bound to the shared city.
-func Camera() *sensor.Camera {
-	build()
-	return sensor.NewCamera(sensor.DefaultCameraConfig(), scen.City)
 }

@@ -87,6 +87,18 @@ func CompactSpace() ParamSpace {
 	return s
 }
 
+// SpaceByName resolves a sampling space by name: "default" or
+// "compact". Any other name is an error wrapping ErrSpaceConfig.
+func SpaceByName(name string) (ParamSpace, error) {
+	switch name {
+	case "default":
+		return DefaultSpace(), nil
+	case "compact":
+		return CompactSpace(), nil
+	}
+	return ParamSpace{}, fmt.Errorf("%w: unknown space %q (have default, compact)", ErrSpaceConfig, name)
+}
+
 // WeatherMenu returns the built-in noise-profile menu: clear weather
 // first (the zero value), then progressively sensor-hostile conditions.
 // Multipliers scale stock sensor noise; drop is added LiDAR return loss.

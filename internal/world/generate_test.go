@@ -3,6 +3,7 @@ package world
 import (
 	"errors"
 	"math"
+	"reflect"
 	"testing"
 )
 
@@ -282,6 +283,35 @@ func TestGenerateRejectsBadSpace(t *testing.T) {
 				t.Fatalf("err = %v, want ErrSpaceConfig", err)
 			}
 		})
+	}
+}
+
+func TestSpaceByName(t *testing.T) {
+	cases := []struct {
+		name string
+		want func() ParamSpace // nil: rejected
+	}{
+		{"default", DefaultSpace},
+		{"compact", CompactSpace},
+		{"", nil},
+		{"Default", nil},
+		{"huge", nil},
+	}
+	for _, c := range cases {
+		got, err := SpaceByName(c.name)
+		if c.want == nil {
+			if !errors.Is(err, ErrSpaceConfig) {
+				t.Errorf("SpaceByName(%q) err = %v, want ErrSpaceConfig", c.name, err)
+			}
+			continue
+		}
+		if err != nil {
+			t.Errorf("SpaceByName(%q) = %v", c.name, err)
+			continue
+		}
+		if !reflect.DeepEqual(got, c.want()) {
+			t.Errorf("SpaceByName(%q) returned a different space", c.name)
+		}
 	}
 }
 
