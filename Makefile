@@ -66,6 +66,9 @@ bench-smoke:
 	$(GO) test -run=NONE -bench='BenchmarkVoxelGrid|BenchmarkKDTreeBuild|BenchmarkKDTreeRadius' -benchmem -benchtime=10x ./internal/pointcloud/
 	$(GO) test -run=NONE -bench='BenchmarkCluster' -benchmem -benchtime=10x ./internal/nodes/lidardet/
 	$(GO) test -run=NONE -bench='BenchmarkBusPublishFanout|BenchmarkQueuePush|BenchmarkRingSteadyState' -benchmem -benchtime=10x ./internal/ros/
+	$(GO) test -run=NONE -bench='BenchmarkCastRay' -benchmem -benchtime=10x ./internal/world/
+	$(GO) test -run=NONE -bench='BenchmarkDirect7' -benchmem -benchtime=10x ./internal/hdmap/
+	$(GO) test -run=NONE -bench='BenchmarkTrackerStep' -benchmem -benchtime=10x ./internal/nodes/tracking/
 
 # Middleware perf trajectory: measure the transport benches against the
 # committed pre-rewrite baselines and refresh BENCH_middleware.json.

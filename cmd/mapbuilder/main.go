@@ -85,15 +85,17 @@ func info(args []string) {
 	fmt.Printf("%s:\n", *path)
 	fmt.Printf("  scans          %d\n", m.Scans)
 	fmt.Printf("  map points     %d\n", m.Cloud.Len())
-	fmt.Printf("  NDT leaf       %.1f m (%d voxels, %d usable)\n", m.NDTLeaf, len(m.NDT), usableVoxels(m))
+	fmt.Printf("  NDT leaf       %.1f m (%d voxels, %d usable)\n", m.NDTLeaf, m.NDT.Len(), usableVoxels(m))
 	fmt.Printf("  extent         %.0f x %.0f m\n", b.Size().X, b.Size().Y)
 	fmt.Printf("  route coverage %.0f%%\n", 100*m.Coverage(scen, 100))
 }
 
+// usableVoxels counts the map's usable NDT voxels, walking the grid in
+// key order.
 func usableVoxels(m *hdmap.Map) int {
 	n := 0
-	for _, vs := range m.NDT {
-		if vs.OK {
+	for i := 0; i < m.NDT.Len(); i++ {
+		if m.NDT.At(i).OK {
 			n++
 		}
 	}

@@ -10,7 +10,6 @@ package hdmap
 
 import (
 	"fmt"
-	"math"
 
 	"repro/internal/geom"
 	"repro/internal/pointcloud"
@@ -52,7 +51,7 @@ func DefaultConfig() Config {
 // voxel grid derived from it.
 type Map struct {
 	Cloud   *pointcloud.Cloud
-	NDT     map[pointcloud.VoxelKey]*pointcloud.VoxelStats
+	NDT     *pointcloud.VoxelGrid
 	NDTLeaf float64
 	// Scans is the number of mapping sweeps that contributed.
 	Scans int
@@ -117,7 +116,7 @@ func Build(s *world.Scenario, cfg Config) (*Map, error) {
 // VoxelAt returns the NDT statistics voxel containing p, or nil when the
 // voxel is unmapped or unusable.
 func (m *Map) VoxelAt(p geom.Vec3) *pointcloud.VoxelStats {
-	vs := m.NDT[pointcloud.KeyFor(p, m.NDTLeaf)]
+	vs := m.NDT.Get(pointcloud.KeyFor(p, m.NDTLeaf))
 	if vs == nil || !vs.OK {
 		return nil
 	}
@@ -140,7 +139,7 @@ func (m *Map) Direct7(p geom.Vec3, out []*pointcloud.VoxelStats) []*pointcloud.V
 		{X: base.X, Y: base.Y, Z: base.Z + 1},
 	}
 	for _, k := range keys {
-		if vs := m.NDT[k]; vs != nil && vs.OK {
+		if vs := m.NDT.Get(k); vs != nil && vs.OK {
 			out = append(out, vs)
 		}
 	}
@@ -157,7 +156,7 @@ func (m *Map) NeighborVoxels(p geom.Vec3) []*pointcloud.VoxelStats {
 		for dy := int32(-1); dy <= 1; dy++ {
 			for dz := int32(-1); dz <= 1; dz++ {
 				k := pointcloud.VoxelKey{X: base.X + dx, Y: base.Y + dy, Z: base.Z + dz}
-				if vs := m.NDT[k]; vs != nil && vs.OK {
+				if vs := m.NDT.Get(k); vs != nil && vs.OK {
 					out = append(out, vs)
 				}
 			}
@@ -189,22 +188,9 @@ func (m *Map) Coverage(s *world.Scenario, samples int) float64 {
 		pose, _ := s.EgoRoute.At(t)
 		// Probe at sensor height where wall/ground structure lives.
 		probe := pose.Pos.Add(geom.V3(0, 0, 1))
-		if len(m.NeighborVoxels(probe)) > 0 || !math.IsInf(m.nearestVoxelDist(probe), 1) {
+		if len(m.NeighborVoxels(probe)) > 0 {
 			hit++
 		}
 	}
 	return float64(hit) / float64(samples)
-}
-
-func (m *Map) nearestVoxelDist(p geom.Vec3) float64 {
-	best := math.Inf(1)
-	for _, vs := range m.NDT {
-		if !vs.OK {
-			continue
-		}
-		if d := vs.Mean.Dist(p); d < best {
-			best = d
-		}
-	}
-	return best
 }

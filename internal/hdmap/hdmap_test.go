@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"repro/internal/geom"
+	"repro/internal/mathx"
 	"repro/internal/pointcloud"
 	"repro/internal/world"
 )
@@ -42,8 +43,8 @@ func TestBuildProducesMap(t *testing.T) {
 		t.Errorf("too few mapping scans: %d", m.Scans)
 	}
 	usable := 0
-	for _, vs := range m.NDT {
-		if vs.OK {
+	for i := 0; i < m.NDT.Len(); i++ {
+		if m.NDT.At(i).OK {
 			usable++
 		}
 	}
@@ -144,8 +145,14 @@ func TestMapSaveLoadRoundTrip(t *testing.T) {
 		t.Errorf("metadata mismatch: %+v", loaded)
 	}
 	// The rebuilt NDT grid matches voxel for voxel.
-	if len(loaded.NDT) != len(m.NDT) {
-		t.Fatalf("voxel count %d != %d", len(loaded.NDT), len(m.NDT))
+	if loaded.NDT.Len() != m.NDT.Len() {
+		t.Fatalf("voxel count %d != %d", loaded.NDT.Len(), m.NDT.Len())
+	}
+	for i := 0; i < m.NDT.Len(); i++ {
+		if loaded.NDT.Key(i) != m.NDT.Key(i) || *loaded.NDT.At(i) != *m.NDT.At(i) {
+			t.Fatalf("voxel %d differs after reload: %v %+v vs %v %+v",
+				i, loaded.NDT.Key(i), *loaded.NDT.At(i), m.NDT.Key(i), *m.NDT.At(i))
+		}
 	}
 	// And localization still works against the loaded map: probe the
 	// DIRECT7 neighborhood along the route.
@@ -155,6 +162,95 @@ func TestMapSaveLoadRoundTrip(t *testing.T) {
 	b := loaded.Direct7(probe, nil)
 	if len(a) != len(b) {
 		t.Errorf("Direct7 differs after reload: %d vs %d", len(a), len(b))
+	}
+}
+
+// direct7Reference is Direct7 spelled out through the grid's Get, in
+// the same key order.
+func direct7Reference(m *Map, p geom.Vec3) []*pointcloud.VoxelStats {
+	b := pointcloud.KeyFor(p, m.NDTLeaf)
+	var out []*pointcloud.VoxelStats
+	for _, d := range [7][3]int32{{0, 0, 0}, {-1, 0, 0}, {1, 0, 0}, {0, -1, 0}, {0, 1, 0}, {0, 0, -1}, {0, 0, 1}} {
+		if vs := m.NDT.Get(pointcloud.VoxelKey{X: b.X + d[0], Y: b.Y + d[1], Z: b.Z + d[2]}); vs != nil && vs.OK {
+			out = append(out, vs)
+		}
+	}
+	return out
+}
+
+func TestDirect7MatchesGetReference(t *testing.T) {
+	m, s := sharedMap(t)
+	rng := mathx.NewRNG(41)
+	var buf []*pointcloud.VoxelStats
+	nonEmpty := 0
+	for i := 0; i < 5000; i++ {
+		pose, _ := s.EgoRoute.At(rng.Range(0, s.EgoRoute.Duration()))
+		p := pose.Pos.Add(geom.V3(rng.Range(-20, 20), rng.Range(-20, 20), rng.Range(-1, 6)))
+		buf = m.Direct7(p, buf[:0])
+		want := direct7Reference(m, p)
+		if len(buf) != len(want) {
+			t.Fatalf("probe %v: Direct7 found %d voxels, reference %d", p, len(buf), len(want))
+		}
+		for j := range want {
+			if buf[j] != want[j] {
+				t.Fatalf("probe %v: Direct7 entry %d differs from the reference", p, j)
+			}
+		}
+		if len(want) > 0 {
+			nonEmpty++
+		}
+	}
+	if nonEmpty < 500 {
+		t.Fatalf("only %d of 5000 probes touched a usable voxel", nonEmpty)
+	}
+}
+
+func TestDirect7ZeroAlloc(t *testing.T) {
+	m, s := sharedMap(t)
+	pose, _ := s.EgoRoute.At(45)
+	probe := pose.Pos.Add(geom.V3(0, 0, 0.3))
+	buf := make([]*pointcloud.VoxelStats, 0, 7)
+	allocs := testing.AllocsPerRun(100, func() { buf = m.Direct7(probe, buf[:0]) })
+	if allocs != 0 {
+		t.Errorf("Direct7 with a reused buffer allocates %v times, want 0", allocs)
+	}
+}
+
+func TestCoverageOffMapIsZero(t *testing.T) {
+	m, s := sharedMap(t)
+	// The same route, shifted 1 km past the mapped city.
+	wps := s.EgoRoute.Waypoints()
+	shift := geom.V2(1000, 1000)
+	b := world.NewRouteBuilder(wps[0].Add(shift), 0)
+	for _, w := range wps[1:] {
+		b.DriveTo(w.Add(shift), 10)
+	}
+	off := *s
+	off.EgoRoute = b.Build()
+	if cov := m.Coverage(&off, 50); cov != 0 {
+		t.Errorf("coverage of a route 1 km off the map = %v, want 0", cov)
+	}
+}
+
+func BenchmarkDirect7(b *testing.B) {
+	cfg := DefaultConfig()
+	cfg.ScanSpacing = 10
+	s := world.NewScenario(world.DefaultScenarioConfig())
+	m, err := Build(s, cfg)
+	if err != nil {
+		b.Fatal(err)
+	}
+	const probes = 1024
+	ps := make([]geom.Vec3, probes)
+	for i := range ps {
+		pose, _ := s.EgoRoute.At(s.EgoRoute.Duration() * float64(i) / probes)
+		ps[i] = pose.Pos.Add(geom.V3(float64(i%7)-3, float64(i%5)-2, 0.5))
+	}
+	buf := make([]*pointcloud.VoxelStats, 0, 7)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		buf = m.Direct7(ps[i%probes], buf[:0])
 	}
 }
 

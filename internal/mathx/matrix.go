@@ -5,9 +5,10 @@ import (
 	"math"
 )
 
-// Mat is a small dense row-major matrix. It backs the UKF/IMM filters
-// and the NDT Newton step; dimensions there are at most 7x7, so the
-// implementation favors clarity over blocking.
+// Mat is a small dense row-major matrix. It backs the NDT Newton step,
+// and the tracker's fixed-size UKF algebra follows its evaluation
+// order; dimensions there are at most 7x7, so the implementation
+// favors clarity over blocking.
 type Mat struct {
 	Rows, Cols int
 	Data       []float64

@@ -53,21 +53,9 @@ func (t *Track) clone() *Track {
 	return &c
 }
 
-// Clone deep-copies the IMM filter bank.
+// Clone deep-copies the IMM filter bank: a value copy, since the bank
+// holds its filters and their state by value.
 func (m *IMM) Clone() *IMM {
-	c := &IMM{Mu: m.Mu}
-	for i, f := range m.Filters {
-		c.Filters[i] = f.Clone()
-	}
-	return c
-}
-
-// Clone deep-copies one UKF.
-func (u *UKF) Clone() *UKF {
-	c := *u
-	c.X = u.X.Clone()
-	c.P = u.P.Clone()
-	c.wm = append(c.wm[:0:0], u.wm...)
-	c.wc = append(c.wc[:0:0], u.wc...)
+	c := *m
 	return &c
 }

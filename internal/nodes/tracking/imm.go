@@ -4,7 +4,6 @@ import (
 	"math"
 
 	"repro/internal/geom"
-	"repro/internal/mathx"
 )
 
 // immTransition is the Markov model-switching matrix: rows are source
@@ -17,9 +16,10 @@ var immTransition = [numModels][numModels]float64{
 }
 
 // IMM is the interacting-multiple-model wrapper around a bank of UKFs
-// sharing a common state space.
+// sharing a common state space. The bank is held by value, so copying
+// an IMM copies every filter.
 type IMM struct {
-	Filters [numModels]*UKF
+	Filters [numModels]UKF
 	// Mu are the model probabilities.
 	Mu [numModels]float64
 }
@@ -47,38 +47,36 @@ func (m *IMM) mix() {
 			cbar[j] = 1e-12
 		}
 	}
-	var mixedX [numModels]*mathx.Mat
-	var mixedP [numModels]*mathx.Mat
+	var mixedX [numModels][stateDim]float64
+	var mixedP [numModels][stateDim][stateDim]float64
 	for j := 0; j < numModels; j++ {
-		x := mathx.NewMat(stateDim, 1)
+		x := &mixedX[j]
 		var sinSum, cosSum float64
 		for i := 0; i < numModels; i++ {
 			w := immTransition[i][j] * m.Mu[i] / cbar[j]
-			fi := m.Filters[i]
+			fi := &m.Filters[i]
 			for r := 0; r < stateDim; r++ {
 				if r == iyaw {
 					continue
 				}
-				x.AddAt(r, 0, w*fi.X.At(r, 0))
+				x[r] += w * fi.X[r]
 			}
-			sinSum += w * math.Sin(fi.X.At(iyaw, 0))
-			cosSum += w * math.Cos(fi.X.At(iyaw, 0))
+			sinSum += w * math.Sin(fi.X[iyaw])
+			cosSum += w * math.Cos(fi.X[iyaw])
 		}
-		x.Set(iyaw, 0, math.Atan2(sinSum, cosSum))
-		p := mathx.NewMat(stateDim, stateDim)
+		x[iyaw] = math.Atan2(sinSum, cosSum)
+		p := &mixedP[j]
 		for i := 0; i < numModels; i++ {
 			w := immTransition[i][j] * m.Mu[i] / cbar[j]
-			fi := m.Filters[i]
-			d := fi.X.Sub(x)
-			d.Set(iyaw, 0, geom.WrapAngle(d.At(iyaw, 0)))
+			fi := &m.Filters[i]
+			d := stateDiff(&fi.X, x)
 			for r := 0; r < stateDim; r++ {
 				for c := 0; c < stateDim; c++ {
-					p.AddAt(r, c, w*(fi.P.At(r, c)+d.At(r, 0)*d.At(c, 0)))
+					p[r][c] += w * (fi.P[r][c] + d[r]*d[c])
 				}
 			}
 		}
-		p.Symmetrize()
-		mixedX[j], mixedP[j] = x, p
+		symmetrize(p)
 	}
 	for j := 0; j < numModels; j++ {
 		m.Filters[j].X = mixedX[j]
@@ -89,8 +87,8 @@ func (m *IMM) mix() {
 // Predict runs interaction and per-model prediction.
 func (m *IMM) Predict(dt float64) error {
 	m.mix()
-	for _, f := range m.Filters {
-		if err := f.Predict(dt); err != nil {
+	for i := range m.Filters {
+		if err := m.Filters[i].Predict(dt); err != nil {
 			return err
 		}
 	}
@@ -99,15 +97,16 @@ func (m *IMM) Predict(dt float64) error {
 
 // Update applies the PDA update to each model filter and refreshes the
 // model probabilities with the per-model likelihoods.
-func (m *IMM) Update(stdMeas float64, zs []*mathx.Mat, betaFor func(mp *MeasurementPrediction) []float64) error {
+func (m *IMM) Update(stdMeas float64, zs [][measDim]float64, betaFor func(mp MeasurementPrediction) []float64) error {
 	var likes [numModels]float64
-	for j, f := range m.Filters {
+	for j := range m.Filters {
+		f := &m.Filters[j]
 		mp, err := f.PredictMeasurement(stdMeas)
 		if err != nil {
 			return err
 		}
 		beta := betaFor(mp)
-		likes[j] = f.UpdatePDA(mp, zs, beta)
+		likes[j] = f.UpdatePDA(&mp, zs, beta)
 	}
 	// Model probability update.
 	var cbar [numModels]float64
@@ -139,15 +138,15 @@ func (m *IMM) best() *UKF {
 			bi, bv = i, m.Mu[i]
 		}
 	}
-	return m.Filters[bi]
+	return &m.Filters[bi]
 }
 
 // Pos returns the probability-weighted position estimate.
 func (m *IMM) Pos() geom.Vec2 {
 	var x, y float64
-	for i, f := range m.Filters {
-		x += m.Mu[i] * f.X.At(ix, 0)
-		y += m.Mu[i] * f.X.At(iy, 0)
+	for i := range m.Filters {
+		x += m.Mu[i] * m.Filters[i].X[ix]
+		y += m.Mu[i] * m.Filters[i].X[iy]
 	}
 	return geom.V2(x, y)
 }
@@ -167,8 +166,8 @@ func (m *IMM) YawRate() float64 { return m.best().YawRate() }
 // FPOps sums the accumulated op estimates across the bank.
 func (m *IMM) FPOps() float64 {
 	var s float64
-	for _, f := range m.Filters {
-		s += f.FPOps
+	for i := range m.Filters {
+		s += m.Filters[i].FPOps
 	}
 	return s
 }

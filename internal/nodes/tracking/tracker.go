@@ -5,7 +5,6 @@ import (
 	"time"
 
 	"repro/internal/geom"
-	"repro/internal/mathx"
 	"repro/internal/msgs"
 	"repro/internal/nodes/fusion"
 	"repro/internal/ros"
@@ -70,6 +69,15 @@ type Tracker struct {
 	// stats of the last frame for work/µarch modeling
 	lastGateTests int
 	lastUpdated   int
+
+	// Per-frame scratch, reused across Step calls.
+	zs       [][measDim]float64
+	claimed  []bool
+	gated    [][measDim]float64
+	gatedIdx []int
+	likes    []float64
+	beta     []float64
+	removed  []bool
 }
 
 // New builds the node.
@@ -117,14 +125,13 @@ func (t *Tracker) Step(objects []msgs.DetectedObject, stamp time.Duration) []*Tr
 	}
 
 	// Measurement vectors.
-	zs := make([]*mathx.Mat, len(objects))
-	for i, o := range objects {
-		z := mathx.NewMat(measDim, 1)
-		z.Set(0, 0, o.Pose.Pos.X)
-		z.Set(1, 0, o.Pose.Pos.Y)
-		zs[i] = z
+	zs := t.zs[:0]
+	for _, o := range objects {
+		zs = append(zs, [measDim]float64{o.Pose.Pos.X, o.Pose.Pos.Y})
 	}
-	claimed := make([]bool, len(objects))
+	t.zs = zs
+	claimed := resize(t.claimed, len(objects))
+	t.claimed = claimed
 
 	// Per-track gating and PDA update.
 	for _, tr := range t.tracks {
@@ -138,23 +145,21 @@ func (t *Tracker) Step(objects []msgs.DetectedObject, stamp time.Duration) []*Tr
 			tr.miss++
 			continue
 		}
-		var gated []*mathx.Mat
-		var gatedIdx []int
+		gated, gatedIdx := t.gated[:0], t.gatedIdx[:0]
 		for i, z := range zs {
 			t.lastGateTests++
-			d := z.Sub(mp.Z)
-			m := d.T().Mul(mp.SInv).Mul(d).At(0, 0)
-			if m <= t.cfg.GateMahalanobis {
+			if mahalanobis2(z, &mp) <= t.cfg.GateMahalanobis {
 				gated = append(gated, z)
 				gatedIdx = append(gatedIdx, i)
 			}
 		}
+		t.gated, t.gatedIdx = gated, gatedIdx
 		if len(gated) == 0 {
 			tr.miss++
 			continue
 		}
-		err = tr.IMM.Update(t.cfg.StdMeas, gated, func(mp *MeasurementPrediction) []float64 {
-			return t.pdaBetas(mp, gated)
+		err = tr.IMM.Update(t.cfg.StdMeas, gated, func(mp MeasurementPrediction) []float64 {
+			return t.pdaBetas(&mp, gated)
 		})
 		if err != nil {
 			tr.miss++
@@ -234,7 +239,8 @@ func (t *Tracker) Step(objects []msgs.DetectedObject, stamp time.Duration) []*Tr
 // confirmation is not reset by a merge.
 func (t *Tracker) mergeDuplicates() {
 	const mergeDist = 1.2
-	removed := make([]bool, len(t.tracks))
+	removed := resize(t.removed, len(t.tracks))
+	t.removed = removed
 	for i := 0; i < len(t.tracks); i++ {
 		if removed[i] {
 			continue
@@ -276,28 +282,40 @@ func (t *Tracker) mergeDuplicates() {
 // pdaBetas computes the PDA association weights for gated measurements
 // under a measurement prediction: one weight per measurement plus the
 // trailing no-detection weight.
-func (t *Tracker) pdaBetas(mp *MeasurementPrediction, zs []*mathx.Mat) []float64 {
-	likes := make([]float64, len(zs))
-	det := mp.S.At(0, 0)*mp.S.At(1, 1) - mp.S.At(0, 1)*mp.S.At(1, 0)
+func (t *Tracker) pdaBetas(mp *MeasurementPrediction, zs [][measDim]float64) []float64 {
+	likes := resize(t.likes, len(zs))
+	t.likes = likes
+	det := mp.S[0][0]*mp.S[1][1] - mp.S[0][1]*mp.S[1][0]
 	norm := 1.0
 	if det > 0 {
 		norm = 1 / (2 * math.Pi * math.Sqrt(det))
 	}
 	sum := 0.0
 	for i, z := range zs {
-		d := z.Sub(mp.Z)
-		m := d.T().Mul(mp.SInv).Mul(d).At(0, 0)
+		m := mahalanobis2(z, mp)
 		likes[i] = t.cfg.DetectionProb * norm * math.Exp(-0.5*m)
 		sum += likes[i]
 	}
 	b0 := t.cfg.ClutterDensity * (1 - t.cfg.DetectionProb)
 	total := sum + b0
-	beta := make([]float64, len(zs)+1)
+	beta := resize(t.beta, len(zs)+1)
+	t.beta = beta
 	for i := range likes {
 		beta[i] = likes[i] / total
 	}
 	beta[len(zs)] = b0 / total
 	return beta
+}
+
+// resize returns buf with length n and every element zeroed, reusing
+// its storage when it is large enough.
+func resize[T any](buf []T, n int) []T {
+	if cap(buf) < n {
+		return make([]T, n)
+	}
+	buf = buf[:n]
+	clear(buf)
+	return buf
 }
 
 // Process implements ros.Node.

@@ -19,12 +19,21 @@ func det(x, y float64, label msgs.ObjectLabel) msgs.DetectedObject {
 	}
 }
 
+// scaledIdentity returns s times the state-space identity.
+func scaledIdentity(s float64) [stateDim][stateDim]float64 {
+	var p [stateDim][stateDim]float64
+	for i := range p {
+		p[i][i] = s
+	}
+	return p
+}
+
 func TestUKFPredictStraightLine(t *testing.T) {
 	u := NewUKF(ModelCV, geom.V2(0, 0))
 	// Fix a moving state: 10 m/s heading east.
-	u.X.Set(iv, 0, 10)
-	u.X.Set(iyaw, 0, 0)
-	u.P = mathx.Identity(stateDim).Scale(0.01)
+	u.X[iv] = 10
+	u.X[iyaw] = 0
+	u.P = scaledIdentity(0.01)
 	if err := u.Predict(1.0); err != nil {
 		t.Fatal(err)
 	}
@@ -35,9 +44,9 @@ func TestUKFPredictStraightLine(t *testing.T) {
 
 func TestUKFPredictTurn(t *testing.T) {
 	u := NewUKF(ModelCTRV, geom.V2(0, 0))
-	u.X.Set(iv, 0, 10)
-	u.X.Set(iyawd, 0, 0.5)
-	u.P = mathx.Identity(stateDim).Scale(0.01)
+	u.X[iv] = 10
+	u.X[iyawd] = 0.5
+	u.P = scaledIdentity(0.01)
 	if err := u.Predict(1.0); err != nil {
 		t.Fatal(err)
 	}
@@ -52,9 +61,7 @@ func TestUKFPredictTurn(t *testing.T) {
 
 func TestUKFConvergesOnStationaryTarget(t *testing.T) {
 	u := NewUKF(ModelCV, geom.V2(5, 5))
-	z := mathx.NewMat(measDim, 1)
-	z.Set(0, 0, 6)
-	z.Set(1, 0, 4)
+	z := [measDim]float64{6, 4}
 	for i := 0; i < 20; i++ {
 		if err := u.Predict(0.1); err != nil {
 			t.Fatal(err)
@@ -63,14 +70,14 @@ func TestUKFConvergesOnStationaryTarget(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		u.UpdatePDA(mp, []*mathx.Mat{z}, []float64{0.95, 0.05})
+		u.UpdatePDA(&mp, [][measDim]float64{z}, []float64{0.95, 0.05})
 	}
 	if u.Pos().Dist(geom.V2(6, 4)) > 0.3 {
 		t.Errorf("did not converge: %v", u.Pos())
 	}
 	// Position variance should have shrunk well under the prior.
-	if u.P.At(ix, ix) > 0.5 {
-		t.Errorf("variance did not contract: %v", u.P.At(ix, ix))
+	if u.P[ix][ix] > 0.5 {
+		t.Errorf("variance did not contract: %v", u.P[ix][ix])
 	}
 }
 
@@ -81,13 +88,11 @@ func TestIMMPrefersCTRVWhileTurning(t *testing.T) {
 	for i := 0; i < 40; i++ {
 		stamp += 0.1
 		ang := 0.3 * stamp
-		z := mathx.NewMat(measDim, 1)
-		z.Set(0, 0, 20*math.Sin(ang))
-		z.Set(1, 0, 20*(1-math.Cos(ang)))
+		z := [measDim]float64{20 * math.Sin(ang), 20 * (1 - math.Cos(ang))}
 		if err := m.Predict(0.1); err != nil {
 			t.Fatal(err)
 		}
-		err := m.Update(0.3, []*mathx.Mat{z}, func(mp *MeasurementPrediction) []float64 {
+		err := m.Update(0.3, [][measDim]float64{z}, func(MeasurementPrediction) []float64 {
 			return []float64{0.95, 0.05}
 		})
 		if err != nil {
@@ -208,10 +213,7 @@ func TestPDABetasSumToOne(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	z1 := mathx.NewMat(2, 1)
-	z2 := mathx.NewMat(2, 1)
-	z2.Set(0, 0, 0.5)
-	betas := tr.pdaBetas(mp, []*mathx.Mat{z1, z2})
+	betas := tr.pdaBetas(&mp, [][measDim]float64{{0, 0}, {0.5, 0}})
 	sum := 0.0
 	for _, b := range betas {
 		if b < 0 {

@@ -136,12 +136,12 @@ func TestBuildVoxelStats(t *testing.T) {
 		)})
 	}
 	stats := BuildVoxelStats(c, 10.0, 5)
-	if len(stats) == 0 {
+	if stats.Len() == 0 {
 		t.Fatal("no voxels")
 	}
 	var main *VoxelStats
-	for _, vs := range stats {
-		if main == nil || vs.N > main.N {
+	for i := 0; i < stats.Len(); i++ {
+		if vs := stats.At(i); main == nil || vs.N > main.N {
 			main = vs
 		}
 	}
@@ -162,8 +162,8 @@ func TestBuildVoxelStats(t *testing.T) {
 func TestBuildVoxelStatsMinPoints(t *testing.T) {
 	c := FromPositions([]geom.Vec3{geom.V3(0, 0, 0), geom.V3(0.1, 0, 0)})
 	stats := BuildVoxelStats(c, 1.0, 5)
-	for _, vs := range stats {
-		if vs.OK {
+	for i := 0; i < stats.Len(); i++ {
+		if stats.At(i).OK {
 			t.Error("voxel with 2 points should not be OK with minPoints=5")
 		}
 	}

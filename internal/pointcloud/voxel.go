@@ -1,7 +1,9 @@
 package pointcloud
 
 import (
+	"cmp"
 	"math"
+	"slices"
 	"sync"
 
 	"repro/internal/geom"
@@ -168,9 +170,89 @@ type VoxelStats struct {
 	OK bool
 }
 
+// VoxelGrid is an immutable NDT statistics grid: the occupied voxel
+// keys in ascending (X, Y, Z) order, their statistics at the same
+// indices, and an open-addressed table of slots into them. Lookups
+// hash the key, probe linearly and never allocate.
+type VoxelGrid struct {
+	keys  []VoxelKey
+	stats []VoxelStats
+	slots slotTable
+}
+
+// Len returns the number of occupied voxels.
+func (g *VoxelGrid) Len() int { return len(g.keys) }
+
+// Key returns the i-th voxel key in ascending key order.
+func (g *VoxelGrid) Key(i int) VoxelKey { return g.keys[i] }
+
+// At returns the statistics of the i-th voxel in key order.
+func (g *VoxelGrid) At(i int) *VoxelStats { return &g.stats[i] }
+
+// Get returns the statistics of voxel k, usable or not, or nil when no
+// point fell in it.
+func (g *VoxelGrid) Get(k VoxelKey) *VoxelStats {
+	if i := g.slots.find(k, g.keys); i >= 0 {
+		return &g.stats[i]
+	}
+	return nil
+}
+
+// slotTable is an open-addressed hash index over a key slice: each slot
+// holds a key's index, or -1 when empty. The slot count is a power of
+// two at least twice the key count, so linear probes stay short.
+type slotTable struct {
+	slots []int32
+	shift uint
+}
+
+func newSlotTable(keys int) slotTable {
+	bits := uint(3)
+	for 1<<bits < 2*keys {
+		bits++
+	}
+	t := slotTable{slots: make([]int32, 1<<bits), shift: 64 - bits}
+	for i := range t.slots {
+		t.slots[i] = -1
+	}
+	return t
+}
+
+// home returns k's first probe slot (Fibonacci hashing of the packed
+// coordinates).
+func (t *slotTable) home(k VoxelKey) int {
+	h := uint64(uint32(k.X)) ^ uint64(uint32(k.Y))<<21 ^ uint64(uint32(k.Z))<<42
+	return int((h * 0x9E3779B97F4A7C15) >> t.shift)
+}
+
+// find returns the index of k in keys, or -1.
+func (t *slotTable) find(k VoxelKey, keys []VoxelKey) int {
+	if len(t.slots) == 0 {
+		return -1
+	}
+	mask := len(t.slots) - 1
+	for s := t.home(k); ; s = (s + 1) & mask {
+		i := t.slots[s]
+		if i < 0 || keys[i] == k {
+			return int(i)
+		}
+	}
+}
+
+// insert records that keys[i] lives at index i; the key must be absent.
+func (t *slotTable) insert(k VoxelKey, i int32) {
+	mask := len(t.slots) - 1
+	s := t.home(k)
+	for t.slots[s] >= 0 {
+		s = (s + 1) & mask
+	}
+	t.slots[s] = i
+}
+
 // BuildVoxelStats accumulates per-voxel Gaussian statistics for a cloud.
-// Voxels with fewer than minPoints points are marked not OK.
-func BuildVoxelStats(c *Cloud, leaf float64, minPoints int) map[VoxelKey]*VoxelStats {
+// Voxels with fewer than minPoints points are marked not OK. Each
+// voxel sums its points in cloud order.
+func BuildVoxelStats(c *Cloud, leaf float64, minPoints int) *VoxelGrid {
 	if leaf <= 0 {
 		panic("pointcloud: non-positive voxel leaf size")
 	}
@@ -180,14 +262,27 @@ func BuildVoxelStats(c *Cloud, leaf float64, minPoints int) map[VoxelKey]*VoxelS
 		xx, xy, xz, yy, yz, zz float64
 		n                      int
 	}
-	cells := make(map[VoxelKey]*acc)
+	// Bin in first-touch order through a growing slot table, then
+	// reorder the cells by key.
+	var keys []VoxelKey
+	var accs []acc
+	idx := newSlotTable(0)
 	for _, p := range c.Points {
 		k := KeyFor(p.Pos, leaf)
-		a := cells[k]
-		if a == nil {
-			a = &acc{}
-			cells[k] = a
+		slot := idx.find(k, keys)
+		if slot < 0 {
+			if 2*(len(keys)+1) > len(idx.slots) {
+				idx = newSlotTable(2 * (len(keys) + 1))
+				for i, old := range keys {
+					idx.insert(old, int32(i))
+				}
+			}
+			slot = len(keys)
+			idx.insert(k, int32(slot))
+			keys = append(keys, k)
+			accs = append(accs, acc{})
 		}
+		a := &accs[slot]
 		v := p.Pos
 		a.sum = a.sum.Add(v)
 		a.xx += v.X * v.X
@@ -198,9 +293,22 @@ func BuildVoxelStats(c *Cloud, leaf float64, minPoints int) map[VoxelKey]*VoxelS
 		a.zz += v.Z * v.Z
 		a.n++
 	}
-	out := make(map[VoxelKey]*VoxelStats, len(cells))
-	for k, a := range cells {
-		vs := &VoxelStats{N: a.n}
+	order := make([]int32, len(keys))
+	for i := range order {
+		order[i] = int32(i)
+	}
+	slices.SortFunc(order, func(a, b int32) int { return keys[a].compare(keys[b]) })
+	g := &VoxelGrid{
+		keys:  make([]VoxelKey, len(keys)),
+		stats: make([]VoxelStats, len(keys)),
+		slots: newSlotTable(len(keys)),
+	}
+	for i, o := range order {
+		g.keys[i] = keys[o]
+		g.slots.insert(keys[o], int32(i))
+		a := &accs[o]
+		vs := &g.stats[i]
+		vs.N = a.n
 		inv := 1 / float64(a.n)
 		m := a.sum.Scale(inv)
 		vs.Mean = m
@@ -225,9 +333,19 @@ func BuildVoxelStats(c *Cloud, leaf float64, minPoints int) map[VoxelKey]*VoxelS
 				vs.OK = true
 			}
 		}
-		out[k] = vs
 	}
-	return out
+	return g
+}
+
+// compare orders keys by X, then Y, then Z.
+func (k VoxelKey) compare(o VoxelKey) int {
+	if c := cmp.Compare(k.X, o.X); c != 0 {
+		return c
+	}
+	if c := cmp.Compare(k.Y, o.Y); c != 0 {
+		return c
+	}
+	return cmp.Compare(k.Z, o.Z)
 }
 
 // invert3 inverts a 3x3 matrix via the adjugate; ok is false when the

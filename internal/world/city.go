@@ -2,6 +2,7 @@ package world
 
 import (
 	"fmt"
+	"math"
 
 	"repro/internal/geom"
 	"repro/internal/mathx"
@@ -18,10 +19,16 @@ type City struct {
 	// StreetWidth is the drivable width of each street.
 	StreetWidth float64
 	Buildings   []Building
-	// index is a coarse uniform grid over building indices for fast ray
-	// queries from the LiDAR model.
-	index     map[[2]int][]int32
+	// The ray index is a coarse uniform grid over building indices,
+	// built once by buildIndex: a dense row-major block of nx by ny
+	// cells whose first cell is (gx, gy), each listing its buildings in
+	// building order. Cells outside the block are empty. first[b] is
+	// building b's lowest cell.
 	indexCell float64
+	gx, gy    int
+	nx, ny    int
+	cells     [][]int32
+	first     [][2]int
 }
 
 // CityConfig parameterizes city generation.
@@ -151,22 +158,38 @@ func (cfg CityConfig) Validate() error {
 }
 
 func (c *City) buildIndex() {
-	c.index = make(map[[2]int][]int32)
+	cellRange := func(b Building) (x0, x1, y0, y1 int) {
+		return int(b.Box.Min.X / c.indexCell), int(b.Box.Max.X / c.indexCell),
+			int(b.Box.Min.Y / c.indexCell), int(b.Box.Max.Y / c.indexCell)
+	}
+	c.first = make([][2]int, len(c.Buildings))
+	if len(c.Buildings) == 0 {
+		return
+	}
+	gx1, gy1 := math.MinInt, math.MinInt
+	c.gx, c.gy = math.MaxInt, math.MaxInt
 	for i, b := range c.Buildings {
-		min := b.Box.Min
-		max := b.Box.Max
-		x0 := int(min.X / c.indexCell)
-		x1 := int(max.X / c.indexCell)
-		y0 := int(min.Y / c.indexCell)
-		y1 := int(max.Y / c.indexCell)
+		x0, x1, y0, y1 := cellRange(b)
+		c.gx, c.gy = min(c.gx, x0), min(c.gy, y0)
+		gx1, gy1 = max(gx1, x1), max(gy1, y1)
+		c.first[i] = [2]int{x0, y0}
+	}
+	c.nx, c.ny = gx1-c.gx+1, gy1-c.gy+1
+	c.cells = make([][]int32, c.nx*c.ny)
+	for i, b := range c.Buildings {
+		x0, x1, y0, y1 := cellRange(b)
 		for x := x0; x <= x1; x++ {
 			for y := y0; y <= y1; y++ {
-				k := [2]int{x, y}
-				c.index[k] = append(c.index[k], int32(i))
+				k := c.cell(x, y)
+				c.cells[k] = append(c.cells[k], int32(i))
 			}
 		}
 	}
 }
+
+// cell returns the row-major index of grid cell (x, y), which must lie
+// inside the block.
+func (c *City) cell(x, y int) int { return (x-c.gx)*c.ny + (y - c.gy) }
 
 // Size returns the total extent of the city per axis, meters.
 func (c *City) Size() float64 { return float64(c.Blocks) * c.BlockSize }
@@ -191,20 +214,21 @@ func (c *City) CastRay(origin, dir geom.Vec3, maxRange float64) (float64, bool) 
 	}
 	// Walk the coarse grid cells along the ray's ground projection.
 	// For simplicity and robustness we visit every cell in the bounding
-	// region of the clipped ray; rays are at most maxRange long.
+	// region of the clipped ray; rays are at most maxRange long. A
+	// building spanning several cells is tested once, in the first
+	// region cell it overlaps, so buildings are visited in the same
+	// order as a walk that skips repeats.
 	end := origin.Add(dir.Scale(best))
-	x0 := int(minf(origin.X, end.X) / c.indexCell)
-	x1 := int(maxf(origin.X, end.X) / c.indexCell)
-	y0 := int(minf(origin.Y, end.Y) / c.indexCell)
-	y1 := int(maxf(origin.Y, end.Y) / c.indexCell)
-	seen := make(map[int32]struct{}, 8)
+	x0 := max(int(minf(origin.X, end.X)/c.indexCell), c.gx)
+	x1 := min(int(maxf(origin.X, end.X)/c.indexCell), c.gx+c.nx-1)
+	y0 := max(int(minf(origin.Y, end.Y)/c.indexCell), c.gy)
+	y1 := min(int(maxf(origin.Y, end.Y)/c.indexCell), c.gy+c.ny-1)
 	for x := x0; x <= x1; x++ {
 		for y := y0; y <= y1; y++ {
-			for _, bi := range c.index[[2]int{x, y}] {
-				if _, dup := seen[bi]; dup {
+			for _, bi := range c.cells[c.cell(x, y)] {
+				if f := c.first[bi]; x != max(x0, f[0]) || y != max(y0, f[1]) {
 					continue
 				}
-				seen[bi] = struct{}{}
 				if t, ok := c.Buildings[bi].Box.RayHit(origin, dir, best); ok && t < best {
 					best = t
 					hit = true
