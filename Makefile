@@ -69,6 +69,7 @@ bench-smoke:
 	$(GO) test -run=NONE -bench='BenchmarkCastRay' -benchmem -benchtime=10x ./internal/world/
 	$(GO) test -run=NONE -bench='BenchmarkDirect7' -benchmem -benchtime=10x ./internal/hdmap/
 	$(GO) test -run=NONE -bench='BenchmarkTrackerStep' -benchmem -benchtime=10x ./internal/nodes/tracking/
+	$(GO) test -run=NONE -bench='BenchmarkDetectorInfer' -benchmem -benchtime=10x ./internal/dnn/
 
 # Middleware perf trajectory: measure the transport benches against the
 # committed pre-rewrite baselines and refresh BENCH_middleware.json.

@@ -86,42 +86,75 @@ func Conv2DInto(in *Tensor, weights []float32, bias []float32, outC, k, stride, 
 	outH := (in.H+2*pad-k)/stride + 1
 	outW := (in.W+2*pad-k)/stride + 1
 	out := ensureDst(dst, outC, outH, outW)
-	convPlane := func(oc int) {
-		wBase := oc * in.C * k * k
-		for oy := 0; oy < outH; oy++ {
-			for ox := 0; ox < outW; ox++ {
-				sum := bias[oc]
-				iy0 := oy*stride - pad
-				ix0 := ox*stride - pad
-				for ic := 0; ic < in.C; ic++ {
-					for ky := 0; ky < k; ky++ {
-						iy := iy0 + ky
-						if iy < 0 || iy >= in.H {
-							continue
-						}
-						rowIn := (ic*in.H + iy) * in.W
-						rowW := wBase + (ic*k+ky)*k
-						for kx := 0; kx < k; kx++ {
-							ix := ix0 + kx
-							if ix < 0 || ix >= in.W {
-								continue
-							}
-							sum += in.Data[rowIn+ix] * weights[rowW+kx]
-						}
-					}
-				}
-				out.Data[(oc*outH+oy)*outW+ox] = sum
-			}
-		}
-	}
 	if outC > 1 && outC*outH*outW*in.C*k*k >= convParallelMin {
-		parallel.Run(outC, convPlane)
+		parallel.Run(outC, func(oc int) { convPlane(in, weights, bias, k, stride, pad, out, oc) })
 	} else {
 		for oc := 0; oc < outC; oc++ {
-			convPlane(oc)
+			convPlane(in, weights, bias, k, stride, pad, out, oc)
 		}
 	}
 	return out
+}
+
+// convPlane computes output channel oc one output row at a time: the
+// row starts at the bias, then each (ic, ky, kx) term is added across
+// the whole row, skipping the columns whose input lies in the padding.
+// Every output still sums its terms in (ic, ky, kx) order with float32
+// rounding at each step, exactly as a per-output loop would.
+func convPlane(in *Tensor, weights, bias []float32, k, stride, pad int, out *Tensor, oc int) {
+	outH, outW := out.H, out.W
+	wBase := oc * in.C * k * k
+	for oy := 0; oy < outH; oy++ {
+		acc := out.Data[(oc*outH+oy)*outW : (oc*outH+oy+1)*outW]
+		b := bias[oc]
+		for ox := range acc {
+			acc[ox] = b
+		}
+		iy0 := oy*stride - pad
+		for ic := 0; ic < in.C; ic++ {
+			for ky := 0; ky < k; ky++ {
+				iy := iy0 + ky
+				if iy < 0 || iy >= in.H {
+					continue
+				}
+				row := in.Data[(ic*in.H+iy)*in.W : (ic*in.H+iy+1)*in.W]
+				rowW := wBase + (ic*k+ky)*k
+				for kx, w := range weights[rowW : rowW+k] {
+					lo, hi := convSpan(kx, pad, stride, in.W, outW)
+					if lo >= hi {
+						continue
+					}
+					ix := lo*stride - pad + kx
+					if stride == 1 {
+						src := row[ix : ix+hi-lo]
+						dst := acc[lo:hi]
+						dst = dst[:len(src)]
+						for i, v := range src {
+							dst[i] += v * w
+						}
+						continue
+					}
+					for ox := lo; ox < hi; ox++ {
+						acc[ox] += row[ix] * w
+						ix += stride
+					}
+				}
+			}
+		}
+	}
+}
+
+// convSpan returns the output columns [lo, hi) whose input column
+// ox*stride-pad+kx lies inside a row of width inW.
+func convSpan(kx, pad, stride, inW, outW int) (lo, hi int) {
+	if kx < pad {
+		lo = (pad - kx + stride - 1) / stride
+	}
+	last := inW - 1 + pad - kx
+	if last < 0 {
+		return lo, lo
+	}
+	return lo, min(last/stride+1, outW)
 }
 
 // LeakyReLU applies max(x, alpha*x) in place and returns t.

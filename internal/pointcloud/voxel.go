@@ -29,7 +29,6 @@ func KeyFor(p geom.Vec3, leaf float64) VoxelKey {
 // makes the output ordering deterministic — unlike map iteration — and
 // avoids one pointer-chased allocation per cell.
 type voxelAcc struct {
-	key       VoxelKey
 	sum       geom.Vec3
 	intensity float64
 	n         int
@@ -37,19 +36,19 @@ type voxelAcc struct {
 }
 
 // voxelScratch is the reusable working set of one downsample pass: the
-// key -> slot index and the accumulator slots.
+// first-touch key index and the accumulator slots at the same indices.
 type voxelScratch struct {
-	idx  map[VoxelKey]int32
+	bins voxelBins
 	accs []voxelAcc
 }
 
 var voxelScratchPool = sync.Pool{
-	New: func() any { return &voxelScratch{idx: make(map[VoxelKey]int32, 1024)} },
+	New: func() any { return new(voxelScratch) },
 }
 
 func getVoxelScratch() *voxelScratch {
 	s := voxelScratchPool.Get().(*voxelScratch)
-	clear(s.idx)
+	s.bins.reset()
 	s.accs = s.accs[:0]
 	return s
 }
@@ -60,12 +59,9 @@ func putVoxelScratch(s *voxelScratch) { voxelScratchPool.Put(s) }
 func (s *voxelScratch) accumulate(pts []Point, leaf float64) {
 	for i := range pts {
 		p := &pts[i]
-		k := KeyFor(p.Pos, leaf)
-		slot, ok := s.idx[k]
-		if !ok {
-			slot = int32(len(s.accs))
-			s.idx[k] = slot
-			s.accs = append(s.accs, voxelAcc{key: k})
+		slot, added := s.bins.add(KeyFor(p.Pos, leaf))
+		if added {
+			s.accs = append(s.accs, voxelAcc{})
 		}
 		a := &s.accs[slot]
 		a.sum = a.sum.Add(p.Pos)
@@ -81,10 +77,8 @@ func (s *voxelScratch) accumulate(pts []Point, leaf float64) {
 func (s *voxelScratch) merge(o *voxelScratch) {
 	for i := range o.accs {
 		oa := &o.accs[i]
-		slot, ok := s.idx[oa.key]
-		if !ok {
-			slot = int32(len(s.accs))
-			s.idx[oa.key] = slot
+		slot, added := s.bins.add(o.bins.keys[i])
+		if added {
 			s.accs = append(s.accs, *oa)
 			continue
 		}
@@ -249,6 +243,41 @@ func (t *slotTable) insert(k VoxelKey, i int32) {
 	t.slots[s] = i
 }
 
+// voxelBins numbers voxel keys in first-touch order: keys holds each
+// distinct key once, and slots maps a key to its index in keys. The slot
+// table grows as keys arrive, so binning never goes through a Go map.
+type voxelBins struct {
+	keys  []VoxelKey
+	slots slotTable
+}
+
+// add returns k's index, appending k when it is new (added reports
+// which). The slot table is rebuilt larger before it would pass half
+// full.
+func (b *voxelBins) add(k VoxelKey) (i int, added bool) {
+	if j := b.slots.find(k, b.keys); j >= 0 {
+		return j, false
+	}
+	if 2*(len(b.keys)+1) > len(b.slots.slots) {
+		b.slots = newSlotTable(2 * (len(b.keys) + 1))
+		for j, old := range b.keys {
+			b.slots.insert(old, int32(j))
+		}
+	}
+	i = len(b.keys)
+	b.slots.insert(k, int32(i))
+	b.keys = append(b.keys, k)
+	return i, true
+}
+
+// reset empties b, keeping its storage for reuse.
+func (b *voxelBins) reset() {
+	b.keys = b.keys[:0]
+	for i := range b.slots.slots {
+		b.slots.slots[i] = -1
+	}
+}
+
 // BuildVoxelStats accumulates per-voxel Gaussian statistics for a cloud.
 // Voxels with fewer than minPoints points are marked not OK. Each
 // voxel sums its points in cloud order.
@@ -262,24 +291,12 @@ func BuildVoxelStats(c *Cloud, leaf float64, minPoints int) *VoxelGrid {
 		xx, xy, xz, yy, yz, zz float64
 		n                      int
 	}
-	// Bin in first-touch order through a growing slot table, then
-	// reorder the cells by key.
-	var keys []VoxelKey
+	// Bin in first-touch order, then reorder the cells by key.
+	var bins voxelBins
 	var accs []acc
-	idx := newSlotTable(0)
 	for _, p := range c.Points {
-		k := KeyFor(p.Pos, leaf)
-		slot := idx.find(k, keys)
-		if slot < 0 {
-			if 2*(len(keys)+1) > len(idx.slots) {
-				idx = newSlotTable(2 * (len(keys) + 1))
-				for i, old := range keys {
-					idx.insert(old, int32(i))
-				}
-			}
-			slot = len(keys)
-			idx.insert(k, int32(slot))
-			keys = append(keys, k)
+		slot, added := bins.add(KeyFor(p.Pos, leaf))
+		if added {
 			accs = append(accs, acc{})
 		}
 		a := &accs[slot]
@@ -293,6 +310,7 @@ func BuildVoxelStats(c *Cloud, leaf float64, minPoints int) *VoxelGrid {
 		a.zz += v.Z * v.Z
 		a.n++
 	}
+	keys := bins.keys
 	order := make([]int32, len(keys))
 	for i := range order {
 		order[i] = int32(i)

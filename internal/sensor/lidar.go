@@ -55,6 +55,9 @@ type LiDAR struct {
 	rng  *mathx.RNG
 	// Precomputed beam elevations (sin/cos pairs).
 	sinEl, cosEl []float64
+	// hits is the reused per-scan point buffer; each Scan copies it into
+	// a cloud of exactly the hit count.
+	hits []pointcloud.Point
 }
 
 // NewLiDAR builds the scanner for a city.
@@ -92,7 +95,7 @@ func (l *LiDAR) Scan(snap *world.Snapshot) *pointcloud.Cloud {
 		targets = append(targets, target{state: a, box: a.BodyBox()})
 	}
 
-	cloud := pointcloud.New(l.cfg.Beams * l.cfg.AzimuthSteps / 2)
+	hits := l.hits[:0]
 	for az := 0; az < l.cfg.AzimuthSteps; az++ {
 		theta := sensorPose.Yaw + 2*math.Pi*float64(az)/float64(l.cfg.AzimuthSteps)
 		sA, cA := math.Sincos(theta)
@@ -112,13 +115,16 @@ func (l *LiDAR) Scan(snap *world.Snapshot) *pointcloud.Cloud {
 				}
 			}
 			worldPt := origin.Add(dir.Scale(dist))
-			cloud.Append(pointcloud.Point{
+			hits = append(hits, pointcloud.Point{
 				Pos:       egoPose.Inverse(worldPt),
 				Intensity: intensity,
 				Ring:      b,
 			})
 		}
 	}
+	l.hits = hits
+	cloud := pointcloud.New(len(hits))
+	cloud.Points = append(cloud.Points, hits...)
 	return cloud
 }
 
